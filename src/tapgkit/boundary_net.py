@@ -66,27 +66,21 @@ def valid_cells(num_snippets: int, max_duration: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _sampling_weights_cached(num_snippets: int, max_duration: int,
-                             num_samples: int) -> np.ndarray:
-    T_ = num_snippets
-    w = np.zeros((T_, num_samples, max_duration, T_))
-    for r in range(max_duration):
-        d = r + 1
-        for t in range(T_ - d + 1):
-            positions = np.linspace(t, t + d, num_samples)
-            for s_idx, p in enumerate(positions):
-                lo = int(np.floor(p))
-                for j in (lo, lo + 1):
-                    if 0 <= j < T_:
-                        w[j, s_idx, r, t] += max(0.0, 1.0 - abs(p - j))
-    w.flags.writeable = False
-    return w
-
-
 def build_sampling_weights(num_snippets: int, max_duration: int,
                            num_samples: int) -> np.ndarray:
     """Constant matrix (T, num_samples, max_duration, T) realizing the sampler."""
-    return _sampling_weights_cached(num_snippets, max_duration, num_samples)
+    r, t = np.nonzero(valid_cells(num_snippets, max_duration))
+    positions = np.linspace(t, t + r + 1, num_samples, axis=-1)   # (cells, samples)
+    lo = np.floor(positions).astype(np.int64)
+    w = np.zeros((num_snippets, num_samples, max_duration, num_snippets))
+    for j in (lo, lo + 1):
+        # positions lie in [0, T], so only the upper neighbour can fall outside
+        cell, sample = np.nonzero(j < num_snippets)
+        col = j[cell, sample]
+        w[col, sample, r[cell], t[cell]] = np.maximum(
+            0.0, 1.0 - np.abs(positions[cell, sample] - col))
+    w.flags.writeable = False
+    return w
 
 
 @dataclass

@@ -183,7 +183,7 @@ def _cmd_train(args) -> int:
     def checkpoint_epoch(trained_model, report):
         save_training_state(checkpoint_path, trained_model, report.epoch + 1)
 
-    with open(out_dir / "epochs.jsonl", "a") as stream:
+    with open(out_dir / "epochs.jsonl", "a" if args.resume else "w") as stream:
         reports = train(model, features, annotations, cfg.training,
                         log_stream=stream, start_epoch=start_epoch,
                         on_epoch=checkpoint_epoch)

@@ -12,8 +12,9 @@ Redundant candidates are thinned either by classic suppression (drop
 everything overlapping a kept proposal beyond a threshold) or by score decay:
 a proposal overlapping the last kept one enough has its score multiplied by
 exp(-IoU / sigma). "Enough" is IoU >= overlap_offset + distance_weight *
-normalized_center_distance, so far-apart intervals can be left alone even at
-moderate IoU. Decayed proposals whose score falls under a floor are dropped.
+(centre distance in kept durations), so far-apart intervals can be left
+alone even at moderate IoU. Decayed proposals whose score falls under a
+floor are dropped.
 
 Preset parameter sets are provided for the usual benchmark configurations.
 """
@@ -39,9 +40,6 @@ class Proposal:
     start: float
     end: float
     score: float
-
-    def span(self) -> np.ndarray:
-        return np.array([self.start, self.end], dtype=np.float64)
 
 
 def local_maxima(values: np.ndarray) -> np.ndarray:
@@ -74,21 +72,19 @@ def boundary_candidates(values: np.ndarray, ratio: float = 0.5) -> np.ndarray:
     return np.union1d(maxima, high).astype(np.int64)
 
 
-def pair_candidates(output: BoundaryNetOutput) -> list[tuple[int, int, float]]:
-    """All (start_index, end_index, score) pairs from boundary candidates."""
-    p_start = output.start.data
-    p_end = output.end.data
-    p_grid = output.actionness.data
-    max_duration = p_grid.shape[0]
-    pairs = []
-    for s in boundary_candidates(p_start):
-        for e in boundary_candidates(p_end):
-            d = int(e) - int(s)
-            if d < 1 or d > max_duration or not output.valid[d - 1, s]:
-                continue
-            score = float(p_start[s]) * float(p_end[e]) * float(p_grid[d - 1, s])
-            pairs.append((int(s), int(e), score))
-    return pairs
+def pair_candidates(output: BoundaryNetOutput) -> np.ndarray:
+    """(n, 3) float64 rows [start_index, end_index, score], start-major."""
+    p_start = np.asarray(output.start.data, dtype=np.float64)
+    p_end = np.asarray(output.end.data, dtype=np.float64)
+    p_grid = np.asarray(output.actionness.data, dtype=np.float64)
+    s, e = np.meshgrid(boundary_candidates(p_start), boundary_candidates(p_end),
+                       indexing="ij")
+    d = e - s
+    ok = (d >= 1) & (d <= p_grid.shape[0])
+    ok[ok] = output.valid[d[ok] - 1, s[ok]]
+    s, e = s[ok], e[ok]
+    score = p_start[s] * p_end[e] * p_grid[e - s - 1, s]
+    return np.column_stack([s, e, score])
 
 
 # ---------------------------------------------------------------------------
@@ -140,51 +136,48 @@ def suppression_preset(name: str) -> SoftSuppressionConfig | HardSuppressionConf
                           f"known: {sorted(PRESETS)}") from None
 
 
-def normalized_center_distance(kept: Proposal, other: Proposal) -> float:
-    """Distance between interval centers in units of the kept duration."""
-    duration = kept.end - kept.start
-    gap = abs((kept.start + kept.end) - (other.start + other.end)) / 2.0
-    return gap / duration if duration > 0 else math.inf
+def _greedy_suppress(proposals: list[Proposal], max_keep: int,
+                     rescore) -> list[Proposal]:
+    """Keep the best remaining row, rescore the rest against it, repeat.
+
+    The best row has the highest score; ties go to the earlier start, then
+    to input order. ``rescore(top, rows, iou)`` returns the rows that stay
+    in the pool, with their new scores.
+    """
+    rows = np.array([[p.start, p.end, p.score] for p in proposals],
+                    dtype=np.float64).reshape(-1, 3)
+    kept = []
+    while len(rows) and len(kept) < max_keep:
+        best = np.lexsort((rows[:, 0], -rows[:, 2]))[0]
+        top = rows[best]
+        kept.append(top)
+        rows = np.delete(rows, best, axis=0)
+        rows = rescore(top, rows, interval_iou(top[:2], rows[:, :2]))
+    return [Proposal(*row) for row in np.array(kept).reshape(-1, 3).tolist()]
 
 
-def _pop_best(pool: list[Proposal]) -> Proposal:
-    # highest score wins; ties go to the earlier start, then insertion order
-    best = min(range(len(pool)), key=lambda i: (-pool[i].score, pool[i].start, i))
-    return pool.pop(best)
-
-
-def soft_nms(proposals: list[Proposal], cfg: SoftSuppressionConfig,
-             distance=normalized_center_distance) -> list[Proposal]:
+def soft_nms(proposals: list[Proposal], cfg: SoftSuppressionConfig) -> list[Proposal]:
     """Score-decay suppression; returns kept proposals in descending score."""
     cfg.validate()
-    pool = [replace(p) for p in proposals]
-    kept: list[Proposal] = []
-    while pool and len(kept) < cfg.max_keep:
-        top = _pop_best(pool)
-        kept.append(top)
-        survivors = []
-        for p in pool:
-            iou = float(interval_iou(top.span(), p.span()))
-            if iou >= cfg.overlap_offset + cfg.distance_weight * distance(top, p):
-                p = replace(p, score=p.score * math.exp(-iou / cfg.sigma))
-            if p.score >= cfg.score_floor:
-                survivors.append(p)
-        pool = survivors
-    return kept
+
+    def decay(top, rows, iou):
+        duration = top[1] - top[0]
+        gap = np.abs((top[0] + top[1]) - (rows[:, 0] + rows[:, 1])) / 2.0
+        distance = gap / duration if duration > 0 else math.inf
+        hit = iou >= cfg.overlap_offset + cfg.distance_weight * distance
+        # math.exp, not np.exp: the two differ in the last bit on some inputs
+        rows[hit, 2] *= [math.exp(x) for x in (-iou[hit] / cfg.sigma).tolist()]
+        return rows[rows[:, 2] >= cfg.score_floor]
+
+    return _greedy_suppress(proposals, cfg.max_keep, decay)
 
 
 def nms(proposals: list[Proposal], cfg: HardSuppressionConfig) -> list[Proposal]:
     """Classic suppression: drop everything overlapping a kept proposal
     strictly beyond the threshold."""
     cfg.validate()
-    pool = [replace(p) for p in proposals]
-    kept: list[Proposal] = []
-    while pool and len(kept) < cfg.max_keep:
-        top = _pop_best(pool)
-        kept.append(top)
-        pool = [p for p in pool
-                if float(interval_iou(top.span(), p.span())) <= cfg.threshold]
-    return kept
+    return _greedy_suppress(proposals, cfg.max_keep,
+                            lambda top, rows, iou: rows[iou <= cfg.threshold])
 
 
 def suppress(proposals: list[Proposal],
@@ -203,11 +196,8 @@ def generate_proposals(output: BoundaryNetOutput, snippet_stride: int, fps: floa
                        ) -> list[Proposal]:
     """Candidate pairing plus suppression, with intervals mapped to seconds."""
     seconds_per_snippet = snippet_stride / fps
-    candidates = [
-        Proposal(s * seconds_per_snippet, e * seconds_per_snippet, score)
-        for s, e, score in pair_candidates(output)
-    ]
-    return suppress(candidates, suppression)
+    rows = pair_candidates(output) * [seconds_per_snippet, seconds_per_snippet, 1.0]
+    return suppress([Proposal(*row) for row in rows.tolist()], suppression)
 
 
 def merge_class_scores(proposals: list[Proposal], class_scores: dict[str, float],

@@ -1,5 +1,8 @@
 """Checkpoint format: lossless round trips and corruption detection."""
 
+import builtins
+import errno
+import io
 import struct
 
 import numpy as np
@@ -48,6 +51,47 @@ class TestRoundTrip:
         path = tmp_path / "empty.tapg"
         save_checkpoint(path, {})
         assert load_checkpoint(path) == {}
+
+
+class _HalfWriteThenFail:
+    """A file whose first write stores half its bytes, then hits a full disk."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, data):
+        self._stream.write(bytes(data[: len(data) // 2]))
+        self._stream.flush()
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._stream.close()
+
+
+class TestCrashSafety:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.tapg"
+        save_checkpoint(path, {"w": np.arange(6.0)})
+        before = path.read_bytes()
+        real_open = io.open
+
+        def failing_open(*args, **kwargs):
+            return _HalfWriteThenFail(real_open(*args, **kwargs))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", failing_open)
+            patch.setattr(io, "open", failing_open)
+            with pytest.raises(OSError):
+                save_checkpoint(path, {"w": np.ones(1000)})
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(load_checkpoint(path)["w"], np.arange(6.0))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.tapg"]
 
 
 class TestCorruption:

@@ -123,6 +123,13 @@ class TestTrainCommand:
                      "--epochs", "1"]) == 0
         assert len((out / "epochs.jsonl").read_text().splitlines()) == 1
 
+    def test_fresh_run_replaces_epoch_log(self, small_ini, corpus_dir, tmp_path):
+        out = tmp_path / "twice"
+        for _ in range(2):
+            assert main(["train", "--config", str(small_ini),
+                         "--data", str(corpus_dir), "--out", str(out)]) == 0
+        assert len((out / "epochs.jsonl").read_text().splitlines()) == 2
+
 
 class TestInferCommand:
     def test_proposals_file(self, small_ini, corpus_dir, run_dir, tmp_path, capsys):

@@ -19,7 +19,6 @@ from tapgkit.inference import (
     local_maxima,
     merge_class_scores,
     nms,
-    normalized_center_distance,
     pair_candidates,
     save_proposals,
     soft_nms,
@@ -129,17 +128,17 @@ class TestPairing:
         out = _toy_output(seed=1)
         p_start, p_end = out.start.data, out.end.data
         p_grid = out.actionness.data
-        got = {(s, e): score for s, e, score in pair_candidates(out)}
-        expected = {}
+        expected = []
         for s in boundary_candidates(p_start):
             for e in boundary_candidates(p_end):
                 d = int(e) - int(s)
                 if d < 1 or d > p_grid.shape[0] or not out.valid[d - 1, s]:
                     continue
-                expected[(int(s), int(e))] = p_start[s] * p_end[e] * p_grid[d - 1, s]
-        assert got.keys() == expected.keys()
-        for key, want in expected.items():
-            np.testing.assert_allclose(got[key], want, rtol=1e-6)
+                expected.append([s, e, float(p_start[s]) * float(p_end[e])
+                                 * float(p_grid[d - 1, s])])
+        got = pair_candidates(out)
+        assert got.dtype == np.float64 and got.shape == (len(expected), 3)
+        assert got.tolist() == expected
 
     def test_zero_length_pairs_excluded(self):
         out = _toy_output(seed=2)
@@ -148,6 +147,21 @@ class TestPairing:
     def test_duration_cap_respected(self):
         out = _toy_output(seed=3, num_snippets=12, max_duration=3)
         assert all(e - s <= 3 for s, e, _ in pair_candidates(out))
+
+    def test_single_snippet_has_no_candidates(self):
+        out = _toy_output(seed=4, num_snippets=1, max_duration=1)
+        assert pair_candidates(out).shape == (0, 3)
+        assert generate_proposals(out, 16, 8.0, SoftSuppressionConfig(sigma=0.4)) == []
+
+
+def _decoded_candidates(seed):
+    """Every candidate pair of a random toy output: a few hundred rows."""
+    rows = pair_candidates(_toy_output(seed, num_snippets=48, max_duration=48))
+    return [Proposal(*row) for row in rows.tolist()]
+
+
+def _triples(proposals):
+    return [(p.start, p.end, p.score) for p in proposals]
 
 
 class TestSoftSuppression:
@@ -210,6 +224,16 @@ class TestSoftSuppression:
             np.testing.assert_allclose([g.start, g.end, g.score],
                                        [w.start, w.end, w.score], rtol=1e-9)
 
+    @pytest.mark.parametrize("preset", ["anet-tapg-snms", "thumos-tapg-snms",
+                                        "anet-tad-snms"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_candidate_sets_match_oracle_exactly(self, preset, seed):
+        proposals = _decoded_candidates(seed)
+        assert len(proposals) >= 200
+        cfg = suppression_preset(preset)
+        assert _triples(soft_nms(proposals, cfg)) == \
+               _triples(_soft_nms_oracle(proposals, cfg))
+
 
 class TestHardSuppression:
     def test_keeps_non_overlapping(self):
@@ -239,6 +263,13 @@ class TestHardSuppression:
         assert [(k.start, k.end, k.score) for k in got] == \
                [(k.start, k.end, k.score) for k in want]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_candidate_sets_match_oracle_exactly(self, seed):
+        proposals = _decoded_candidates(seed)
+        assert len(proposals) >= 200
+        cfg = suppression_preset("thumos-tad-nms")
+        assert _triples(nms(proposals, cfg)) == _triples(_nms_oracle(proposals, cfg))
+
 
 class TestPresets:
     def test_named_parameter_sets(self):
@@ -265,13 +296,6 @@ class TestPresets:
         soft = suppress(list(proposals), suppression_preset("anet-tapg-snms"))
         hard = suppress(list(proposals), suppression_preset("thumos-tad-nms"))
         assert len(soft) >= len(hard)
-
-
-class TestCentreDistance:
-    def test_value(self):
-        got = normalized_center_distance(Proposal(0.0, 10.0, 1.0),
-                                         Proposal(2.5, 12.5, 0.5))
-        np.testing.assert_allclose(got, 0.25)
 
 
 class TestGenerateProposals:
