@@ -10,25 +10,24 @@ Layout (all integers little-endian unsigned 32-bit):
 
 Values are stored as float64 regardless of the runtime precision so a
 checkpoint round-trips losslessly from either float32 or float64 models.
-A save writes a temporary file beside the target and renames it into place,
-so a crash mid-write leaves the previous checkpoint intact.
+A save goes through ``files.write_atomic``, so a crash mid-write leaves the
+previous checkpoint intact.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from tapgkit.errors import FileFormatError
+from tapgkit.files import write_atomic
 
 MAGIC = b"TAPGKIT1"
 
 
 def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
-    path = Path(path)
     chunks = [MAGIC, struct.pack("<I", len(state))]
     for name, arr in state.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
@@ -38,16 +37,7 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as stream:
-            stream.write(b"".join(chunks))
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, b"".join(chunks))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

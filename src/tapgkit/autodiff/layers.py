@@ -17,6 +17,10 @@ from tapgkit.errors import ShapeError
 from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.tensor import Tensor
 
+# Additive softmax bias that hides a padded entry: its weight underflows to
+# exactly zero next to any real logit, and the sum stays finite in float32.
+MASKED_LOGIT = -1e30
+
 
 class Module:
     """Base class: parameter discovery, gradient reset, flat state access."""
@@ -131,11 +135,18 @@ class Conv3d(_ConvNd):
 class SelfAttentionEncoder(Module):
     """Single-head scaled dot-product self-attention with a residual FFN.
 
-    Operates on a set of feature rows (n, d). Queries, keys and values are
+    Operates on a set of feature rows (n, d), or on a stack of sets
+    (..., n, d) that are encoded independently. Queries, keys and values are
     bias-free projections of the input; attention output is added back to the
     input, then a two-layer feed-forward block (hidden width d) with its own
     residual. Deliberately norm-free: inputs here are unit-scale features and
     the sets are small.
+
+    An optional boolean ``mask`` of shape (..., n) marks the real rows of
+    padded sets: padding rows are hidden from every query by an additive
+    ``MASKED_LOGIT`` bias, so each real row's output equals that of the set
+    without padding. Padding rows still get (meaningless) outputs; callers
+    drop them.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int):
@@ -146,13 +157,19 @@ class SelfAttentionEncoder(Module):
         self.ffn_out = Linear(rng, dim, dim)
         self._scale = 1.0 / math.sqrt(dim)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2:
-            raise ShapeError(f"attention input must be (rows, dim), got {x.data.shape}")
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        if x.data.ndim < 2:
+            raise ShapeError(f"attention input must be (..., rows, dim), got {x.data.shape}")
         q = self.query(x)
         k = self.key(x)
         v = self.value(x)
-        weights = T.softmax(T.scale(T.matmul(q, T.transpose(k)), self._scale), axis=-1)
+        logits = T.scale(T.matmul(q, T.transpose(k)), self._scale)
+        if mask is not None:
+            if mask.shape != x.data.shape[:-1]:
+                raise ShapeError(f"mask {mask.shape} does not cover input {x.data.shape}")
+            bias = np.where(mask, 0.0, MASKED_LOGIT)[..., None, :]
+            logits = T.add(logits, T.constant(bias))
+        weights = T.softmax(logits, axis=-1)
         attended = T.add(x, T.matmul(weights, v))
         ffn = self.ffn_out(T.relu(self.ffn_in(attended)))
         return T.add(attended, ffn)

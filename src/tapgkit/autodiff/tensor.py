@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import weakref
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,9 +65,15 @@ class Tensor:
     """A dense n-dimensional array, optionally tracked for gradients.
 
     ``data`` is a row-major numpy array in the process default precision.
-    ``grad`` is a same-shape accumulator, present exactly when
-    ``requires_grad`` is set; it is re-zeroed at the start of every backward
-    pass over the tape the tensor was recorded on.
+    ``grad`` is a same-shape accumulator. A tensor built directly with
+    ``requires_grad`` (a parameter) starts with a zero buffer, which every
+    backward pass that reads it re-zeroes first. An op result starts with
+    ``grad = None`` and gets a buffer only when a backward pass reaches it,
+    so results on branches no gradient flows through keep ``None``.
+
+    An op result refers to its tape only weakly: dropping the tape frees the
+    recorded graph at once, and ``backward`` on a result whose tape is gone
+    raises :class:`GraphError`.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_tape")
@@ -99,9 +106,10 @@ class Tensor:
 
     def backward(self) -> None:
         """Run reverse-mode differentiation from this scalar."""
-        if self._tape is None:
+        tape = self._tape() if self._tape is not None else None
+        if tape is None:
             raise GraphError("tensor was not recorded on a live tape")
-        self._tape.backward(self)
+        tape.backward(self)
 
     # ergonomic operator sugar; heavy lifting stays in the module functions
     def __add__(self, other):
@@ -147,12 +155,16 @@ class Tape:
 
     Use as a context manager around a forward pass; ``backward`` replays the
     log once, in reverse. A consumed tape must be ``reset`` (or discarded)
-    before recording again.
+    before recording again. The tape owns its graph: recorded results point
+    back at it only through a weak reference, so the graph is freed as soon
+    as the last reference to the tape goes, without waiting for the cyclic
+    garbage collector.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
         self._consumed = False
+        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -168,7 +180,7 @@ class Tape:
     def record(self, out: Tensor, inputs: Sequence[Tensor], fn) -> None:
         if self._consumed:
             raise GraphError("tape already replayed; reset it before reuse")
-        out._tape = self
+        out._tape = self._ref
         self._records.append(_Record(out, tuple(inputs), fn))
 
     def reset(self) -> None:
@@ -180,10 +192,12 @@ class Tape:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if self._consumed:
             raise GraphError("tape already replayed; reset it before reuse")
-        for rec in self._records:
-            rec.out.zero_grad()
-            for t in rec.inputs:
-                t.zero_grad()
+        # results recorded here start without a buffer; only the leaves (the
+        # tracked inputs recorded elsewhere) carry gradients from earlier passes
+        leaves = {id(t): t for rec in self._records for t in rec.inputs
+                  if t.requires_grad and t._tape is not self._ref}
+        for t in leaves.values():
+            t.zero_grad()
         if loss.requires_grad:
             loss.grad = np.ones_like(loss.data)
         for rec in reversed(self._records):
@@ -212,7 +226,7 @@ def _from_op(data: np.ndarray, inputs: Sequence[Tensor], fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=get_default_dtype())
     out.requires_grad = tracked
-    out.grad = np.zeros_like(out.data) if tracked else None
+    out.grad = None
     out._tape = None
     if tracked:
         tape.record(out, [t for t in inputs if isinstance(t, Tensor)], fn)
@@ -366,9 +380,11 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
+    """Swap the last two axes of a matrix or a stack of matrices."""
+    if a.data.ndim < 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
-    return _from_op(a.data.T, (a,), lambda g: _accum(a, g.T))
+    return _from_op(np.swapaxes(a.data, -1, -2), (a,),
+                    lambda g: _accum(a, np.swapaxes(g, -1, -2)))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -471,15 +487,20 @@ def l2_norm(a: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects two matrices")
-    if a.data.shape[1] != b.data.shape[0]:
+    """Matrix product; leading axes of stacked matrices broadcast as in numpy."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError("matmul expects two matrices or stacks of matrices")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+    try:
+        out = a.data @ b.data
+    except ValueError as err:
+        raise ShapeError(
+            f"matmul stacks do not broadcast: {a.data.shape} @ {b.data.shape}") from err
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _from_op(out, (a, b), backward)
 
@@ -604,7 +625,3 @@ def conv3d(x, weight, bias=None, stride=1, padding=0):
 def mean_pool(a: Tensor, axis: int) -> Tensor:
     """Arithmetic mean along one axis (alias kept for pooling call sites)."""
     return mean(a, axis=axis)
-
-
-def all_finite(t: Tensor) -> bool:
-    return bool(np.isfinite(t.data).all())

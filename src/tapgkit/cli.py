@@ -9,6 +9,11 @@ Every data-producing command prints a one-line JSON manifest of its resolved
 configuration to stdout, so runs are reproducible from captured logs alone.
 Failures exit nonzero with a one-line JSON error on stderr. Set TAPGKIT_LOG
 (DEBUG, INFO, WARNING, ERROR) to control log verbosity.
+
+Result files (checkpoints, proposals, manifest.json, report.json, the AR
+curve files and sweep results) are replaced in one step by
+``files.write_atomic``, so an interrupted command leaves the previous file
+intact; ``epochs.jsonl`` is an append log.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -40,6 +46,7 @@ from tapgkit.evaluation import (
     recall_at_budget,
     recall_curve,
 )
+from tapgkit.files import write_atomic
 from tapgkit.inference import (
     generate_proposals,
     load_proposals,
@@ -195,7 +202,7 @@ def _cmd_train(args) -> int:
         "epochs_completed": start_epoch + len(reports),
         "final_mean_loss": final,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2))
     print(json.dumps({"command": "train", "epochs": len(reports),
                       "final_mean_loss": final,
                       "checkpoint": str(checkpoint_path)}))
@@ -241,13 +248,14 @@ def _cmd_eval(args) -> int:
         "area_under_recall_curve": area,
         "average_recall_at_budget": budget_recalls,
     }
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2))
-    with open(out_dir / "ar_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["budget", "average_recall"])
-        for i, r in enumerate(curve, start=1):
-            writer.writerow([i, f"{r:.6f}"])
-    (out_dir / "ar_curve.svg").write_text(_curve_svg(curve))
+    write_atomic(out_dir / "report.json", json.dumps(report, indent=2))
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["budget", "average_recall"])
+    for i, r in enumerate(curve, start=1):
+        writer.writerow([i, f"{r:.6f}"])
+    write_atomic(out_dir / "ar_curve.csv", table.getvalue())
+    write_atomic(out_dir / "ar_curve.svg", _curve_svg(curve))
     _print_manifest("eval", cfg, {"out": str(out_dir), **report})
     return 0
 
@@ -282,7 +290,7 @@ def _cmd_sweep(args) -> int:
                  weight, reports[-1].mean_total, ar10)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(results, indent=2))
+    write_atomic(out, json.dumps(results, indent=2))
     _print_manifest("sweep", cfg, {"out": str(out), "results": results})
     return 0
 

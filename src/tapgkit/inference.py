@@ -31,6 +31,7 @@ import numpy as np
 from tapgkit.boundary_net import BoundaryNetOutput
 from tapgkit.errors import ConfigError, EmptyInputError, FileFormatError
 from tapgkit.evaluation import Detection, interval_iou
+from tapgkit.files import write_atomic
 
 SCORE_FLOOR = 1e-4
 
@@ -226,7 +227,7 @@ def save_proposals(path, proposals_by_video: dict[str, list[Proposal]]) -> None:
         vid: [{"segment": [p.start, p.end], "score": p.score} for p in props]
         for vid, props in proposals_by_video.items()
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_proposals(path) -> dict[str, list[Proposal]]:

@@ -8,6 +8,14 @@ projected rows talk through one self-attention encoder, and mean pooling
 yields the snippet representation. A video becomes a (feature_dim, T) matrix
 with one column per snippet.
 
+A video is encoded in one pass, not snippet by snippet: each attention
+stream gets the video's rows packed as one (R, d) constant with per-snippet
+row counts and returns a (T, d) fused matrix (see ``attention``), the
+projected streams form one (T, streams, feature_dim) batch for the
+interaction encoder, and the mean over streams gives the (T, feature_dim)
+result. A single snippet (``snippet_with_info``) is the T = 1 case; its
+per-stream ``SelectionInfo`` then describes that snippet alone.
+
 Streams can be disabled independently for ablations. Adaptive and hard
 attention need the environment vector as scoring context, so disabling the
 environment stream forces the soft attention baseline (scored against a zero
@@ -72,28 +80,38 @@ class SnippetRepresentation(Module):
         self.env_proj = Linear(rng, cfg.env_dim, d_f) if cfg.use_environment else None
         self.interaction = SelfAttentionEncoder(rng, d_f)
 
-    def snippet_with_info(self, bundle: SnippetBundle) -> tuple[Tensor, dict[str, SelectionInfo]]:
+    def _encode(self, environment: np.ndarray, actors: list[np.ndarray],
+                objects: list[np.ndarray]) -> tuple[Tensor, dict[str, SelectionInfo]]:
+        """(T, feature_dim) representations of T snippets given as stream arrays."""
         cfg = self.cfg
-        env = T.constant(bundle.environment)
-        context = env if cfg.use_environment else T.constant(np.zeros(cfg.env_dim))
-        rows: list[Tensor] = []
+        env = T.constant(environment)
+        context = env if cfg.use_environment else T.constant(np.zeros_like(environment))
+        streams: list[Tensor] = []
         info: dict[str, SelectionInfo] = {}
-        if self.actor_attention is not None:
-            fused, info["actors"] = self.actor_attention(T.constant(bundle.actors), context)
-            rows.append(self.actor_proj(T.reshape(fused, (1, -1))))
-        if self.object_attention is not None:
-            fused, info["objects"] = self.object_attention(T.constant(bundle.objects), context)
-            rows.append(self.object_proj(T.reshape(fused, (1, -1))))
+        for name, attention, proj, sets in (
+                ("actors", self.actor_attention, self.actor_proj, actors),
+                ("objects", self.object_attention, self.object_proj, objects)):
+            if attention is not None:
+                rows = T.constant(np.concatenate(sets, axis=0))
+                fused, info[name] = attention(rows, context, [len(s) for s in sets])
+                streams.append(proj(fused))
         if self.env_proj is not None:
-            rows.append(self.env_proj(T.reshape(env, (1, -1))))
-        stacked = rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
-        fused = T.mean(self.interaction(stacked), axis=0)
-        return fused, info
+            streams.append(self.env_proj(env))
+        stacked = T.stack(streams, axis=1)                        # (T, streams, d_f)
+        return T.mean(self.interaction(stacked), axis=1), info
+
+    def snippet_with_info(self, bundle: SnippetBundle) -> tuple[Tensor, dict[str, SelectionInfo]]:
+        """One snippet's (feature_dim,) vector and its per-stream selections."""
+        fused, info = self._encode(bundle.environment[None, :], [bundle.actors],
+                                   [bundle.objects])
+        return T.reshape(fused, (-1,)), info
 
     def snippet(self, bundle: SnippetBundle) -> Tensor:
         return self.snippet_with_info(bundle)[0]
 
     def video(self, seq: VideoFeatureSequence) -> Tensor:
         """Representation matrix (feature_dim, T), one column per snippet."""
-        cols = [self.snippet(b) for b in seq.snippets]
-        return T.transpose(T.stack(cols, axis=0))
+        snippets = seq.snippets
+        fused, _ = self._encode(np.stack([b.environment for b in snippets]),
+                                [b.actors for b in snippets], [b.objects for b in snippets])
+        return T.transpose(fused)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tapgkit.attention import AdaptiveAttention
+from tapgkit.attention import MODES, AdaptiveAttention
 from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.tensor import Tape
 from tapgkit.errors import ConfigError, ShapeError
@@ -219,3 +219,45 @@ class TestPermutation:
         if margin > 1e-5:
             np.testing.assert_allclose(fused_p.data, fused.data,
                                        rtol=5e-4, atol=5e-5)
+
+
+class TestPackedSets:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_packed_call_matches_one_call_per_set(self, mode):
+        with T.default_dtype(np.float64):
+            rng = np.random.default_rng(600)
+            module = _module(3, mode=mode)
+            counts = [3, 0, 1, 5, 2, 0]
+            rows = rng.standard_normal((sum(counts), 6))
+            contexts = rng.standard_normal((len(counts), 5))
+            fused, info = module(T.constant(rows), T.constant(contexts), counts)
+            assert fused.data.shape == (len(counts), 6)
+            assert info.used_default is False
+            np.testing.assert_array_equal(info.counts, counts)
+            starts = np.cumsum(counts) - counts
+            selected = []
+            for t, (lo, m) in enumerate(zip(starts, counts)):
+                one, one_info = module(T.constant(rows[lo:lo + m]),
+                                       T.constant(contexts[t]))
+                np.testing.assert_allclose(fused.data[t], one.data, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(info.scores[lo:lo + m], one_info.scores,
+                                           rtol=1e-12)
+                np.testing.assert_array_equal(info.threshold[lo:lo + m],
+                                              one_info.threshold)
+                selected.append(one_info.selected + lo)
+            np.testing.assert_array_equal(info.selected, np.concatenate(selected))
+
+    def test_all_empty_batch_uses_the_default_everywhere(self):
+        module = _module(4)
+        fused, info = module(T.constant(np.zeros((0, 6))), T.constant(np.ones((3, 5))),
+                             [0, 0, 0])
+        assert info.used_default is True
+        assert info.selected.size == 0 and info.scores.size == 0
+        np.testing.assert_array_equal(fused.data, np.tile(module.default_output.data, (3, 1)))
+
+    def test_counts_must_cover_the_rows(self):
+        module = _module(5)
+        with pytest.raises(ShapeError):
+            module(T.constant(np.zeros((4, 6))), T.constant(np.zeros((2, 5))), [1, 2])
+        with pytest.raises(ShapeError):
+            module(T.constant(np.zeros((3, 6))), T.constant(np.zeros((3, 5))), [1, 2])

@@ -347,6 +347,17 @@ class TestProposalFiles:
         for a, b in zip(table["vid_a"], loaded["vid_a"]):
             assert (a.start, a.end, a.score) == (b.start, b.end, b.score)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, failing_writes):
+        path = tmp_path / "proposals.json"
+        save_proposals(path, {"vid_a": [Proposal(0.0, 2.5, 0.9)]})
+        before = path.read_bytes()
+        table = {f"vid_{i}": [Proposal(0.0, 1.0 + i, 0.5)] for i in range(50)}
+        with failing_writes(), pytest.raises(OSError):
+            save_proposals(path, table)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["proposals.json"]
+        assert load_proposals(path)["vid_a"][0].end == 2.5
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2, 3]")

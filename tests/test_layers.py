@@ -94,6 +94,25 @@ class TestSelfAttentionEncoder:
         enc = SelfAttentionEncoder(rng, 4)
         assert enc(Tensor(rng.standard_normal((1, 4)))).data.shape == (1, 4)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_masked_stack_equals_each_set_alone(self, seed):
+        with T.default_dtype(np.float64):
+            rng = np.random.default_rng(20 + seed)
+            enc = SelfAttentionEncoder(rng, 5)
+            sizes = [4, 1, 2, 3]
+            x = rng.standard_normal((len(sizes), 4, 5))
+            mask = np.arange(4) < np.array(sizes)[:, None]
+            x[~mask] = 1e3 * rng.standard_normal((int((~mask).sum()), 5))
+            out = enc(Tensor(x), mask).data
+            for i, n in enumerate(sizes):
+                alone = enc(Tensor(x[i, :n])).data
+                np.testing.assert_allclose(out[i, :n], alone, rtol=1e-12, atol=1e-12)
+
+    def test_mask_must_cover_the_rows(self):
+        enc = SelfAttentionEncoder(np.random.default_rng(9), 4)
+        with pytest.raises(ShapeError):
+            enc(Tensor(np.ones((2, 3, 4))), np.ones((2, 4), dtype=bool))
+
     def test_rejects_non_matrix(self):
         enc = SelfAttentionEncoder(np.random.default_rng(8), 4)
         with pytest.raises(ShapeError):

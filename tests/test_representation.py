@@ -1,6 +1,8 @@
-"""Snippet fusion: shapes, stream ablations, gradient flow into projections."""
+"""Snippet fusion: shapes, stream ablations, gradient flow into projections,
+and the one-pass video encoding against a snippet-by-snippet loop oracle."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -109,3 +111,85 @@ class TestGradients:
         for name, p in model.named_parameters():
             if ".candidate_embed" in name or ".context_embed" in name:
                 assert np.abs(p.grad).sum() == 0.0, name
+
+
+# -- loop oracle: the per-snippet composition, restated with 2-D ops ----------
+
+def _attention_oracle(att, rows, context):
+    """One snippet's fused vector, scored and selected on its own rows alone."""
+    m = rows.data.shape[0]
+    if m == 0:
+        return att.default_output
+    embedded = att.candidate_embed(rows)
+    ctx = att.context_embed(T.reshape(context, (1, -1)))
+    relevance = T.l2_norm(T.concat([embedded, T.concat([ctx] * m, axis=0)], axis=1),
+                          axis=1)
+    scores = T.softmax(relevance, axis=0)
+    best = int(np.argmax(scores.data))
+    if att.mode == "soft":
+        return T.reshape(T.matmul(T.reshape(scores, (1, m)), rows), (-1,))
+    if att.mode == "hard":
+        return T.reshape(T.gather_rows(rows, [best]), (-1,))
+    selected = np.flatnonzero(scores.data >= 1.0 / m)
+    if selected.size == 0:
+        selected = np.array([best])
+    return T.mean(att.encoder(T.gather_rows(rows, selected)), axis=0)
+
+
+def _snippet_oracle(model, bundle):
+    cfg = model.cfg
+    env = T.constant(bundle.environment)
+    context = env if cfg.use_environment else T.constant(np.zeros(cfg.env_dim))
+    rows = []
+    for att, proj, cands in ((model.actor_attention, model.actor_proj, bundle.actors),
+                             (model.object_attention, model.object_proj, bundle.objects)):
+        if att is not None:
+            fused = _attention_oracle(att, T.constant(cands), context)
+            rows.append(proj(T.reshape(fused, (1, -1))))
+    if model.env_proj is not None:
+        rows.append(model.env_proj(T.reshape(env, (1, -1))))
+    stacked = rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
+    return T.mean(model.interaction(stacked), axis=0)
+
+
+def _video_oracle(model, seq):
+    return T.transpose(T.stack([_snippet_oracle(model, b) for b in seq.snippets], axis=0))
+
+
+def _uneven_video(seed):
+    """Nine snippets with 0-5 actors and 0-3 objects, including empty ones."""
+    rng = np.random.default_rng(seed)
+    actors = [0, 3, 1, 5, 0, 2, 4, 0, 1]
+    objects = [2, 0, 3, 1, 0, 1, 0, 2, 3]
+    return VideoFeatureSequence("v", 16, [
+        _bundle(rng, m=m, k=k) for m, k in zip(actors, objects)])
+
+
+STREAMS = [s for s in itertools.product((True, False), repeat=3) if any(s)]
+
+
+class TestVideoMatchesLoopOracle:
+    @pytest.mark.parametrize("mode", ["adaptive", "soft", "hard"])
+    @pytest.mark.parametrize("streams", STREAMS,
+                             ids=lambda s: "-".join(n for n, on in zip(
+                                 ("env", "actors", "objects"), s) if on))
+    def test_columns_and_gradients(self, mode, streams):
+        use_env, use_actors, use_objects = streams
+        with T.default_dtype(np.float64):
+            model = SnippetRepresentation(np.random.default_rng(11), _cfg(
+                attention_mode=mode, use_environment=use_env,
+                use_actors=use_actors, use_objects=use_objects))
+            seq = _uneven_video(12)
+            grads = []
+            for forward in (model.video, lambda s: _video_oracle(model, s)):
+                with Tape() as tape:
+                    out = forward(seq)
+                    tape.backward(scalarize(out))
+                grads.append((out.data.copy(),
+                              {n: p.grad.copy() for n, p in model.named_parameters()}))
+            (got, got_grads), (want, want_grads) = grads
+            assert got.shape == (10, 9)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            for name in want_grads:
+                np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                           rtol=1e-9, atol=1e-12, err_msg=name)

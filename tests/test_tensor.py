@@ -1,5 +1,8 @@
 """Tensor library: op semantics, tape behavior, gradients vs finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,32 @@ class TestTapeSemantics:
         assert c.grad is None
         np.testing.assert_allclose(a.grad, [1.0, 1.0])
 
+    def test_results_get_gradient_buffers_only_when_reached(self):
+        a = T.parameter(np.ones(2))
+        with Tape() as tape:
+            used = T.mul(a, a)
+            unused = T.relu(a)
+            assert used.grad is None and unused.grad is None
+            tape.backward(T.sum_(used))
+        np.testing.assert_allclose(used.grad, [1.0, 1.0])
+        assert unused.grad is None
+        np.testing.assert_allclose(a.grad, [2.0, 2.0])
+
+    def test_dropped_tape_is_freed_without_the_cycle_collector(self):
+        a = T.parameter(np.ones(3))
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = T.sum_(T.mul(T.relu(a), a))
+                tape.backward(loss)
+            dead = weakref.ref(tape)
+            del tape
+            assert dead() is None
+            with pytest.raises(GraphError):
+                loss.backward()
+        finally:
+            gc.enable()
+
 
 class TestDtypeControl:
     def test_default_is_float32(self):
@@ -130,6 +159,10 @@ class TestValueSemantics:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+    def test_matmul_stacks_must_broadcast(self):
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 2))))
 
     def test_transpose_needs_matrix(self):
         with pytest.raises(ShapeError):
@@ -319,6 +352,30 @@ class TestOpGradients:
             w = _param(rng, 4, 2)
             return (lambda: scalarize(T.matmul(T.matmul(a, w), T.transpose(w)))), [a, w]
         self.run(seed, build)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_matmul_and_transpose(self, seed):
+        def build(rng):
+            a = _param(rng, 2, 3, 4)
+            b = _param(rng, 2, 4, 3)
+            w = _param(rng, 4, 2)          # one matrix broadcast over the stack
+            c = _param(rng, 1, 3, 3)       # a size-1 stack axis broadcast too
+            def forward():
+                ab = T.matmul(a, b)                                  # (2, 3, 3)
+                gram = T.matmul(T.transpose(ab), T.add(ab, c))      # (2, 3, 3)
+                return scalarize(T.matmul(T.transpose(T.matmul(a, w)), gram))
+            return forward, [a, b, w, c]
+        self.run(seed, build)
+
+    def test_stacked_matmul_matches_per_matrix_products(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((5, 2, 3)), rng.standard_normal((5, 3, 4))
+        with T.default_dtype(np.float64):
+            got = T.matmul(Tensor(a), Tensor(b)).data
+            flipped = T.transpose(Tensor(a)).data
+        for i in range(5):
+            np.testing.assert_array_equal(got[i], a[i] @ b[i])
+            np.testing.assert_array_equal(flipped[i], a[i].T)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_linear_with_bias(self, seed):

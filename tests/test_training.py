@@ -1,5 +1,6 @@
 """Labels, losses and the epoch loop."""
 
+import dataclasses
 import io
 import json
 
@@ -274,6 +275,26 @@ class TestEpochLoop:
               TrainConfig(epochs=3, seed=6),
               on_epoch=lambda m, r: seen.append(r.epoch))
         assert seen == [0, 1, 2]
+
+
+class TestTapeSize:
+    def test_desk_step_records_at_most_200_ops(self):
+        # the default (desk) configuration: T = 32 snippets, every stream on
+        run = RunConfig()
+        syn = dataclasses.replace(run.synthetic, num_videos=1)
+        corpus = generate_corpus(syn)
+        seq = next(iter(corpus.features.values()))
+        annotation = corpus.annotations[seq.video_id]
+        rep = dataclasses.replace(run.representation, env_dim=syn.env_dim,
+                                  actor_dim=syn.actor_dim, object_dim=syn.object_dim)
+        net = run.boundary.build(rep.feature_dim, seq.num_snippets)
+        model = ProposalModel(np.random.default_rng(0), rep, net)
+        labels = video_labels(annotation, net.num_snippets, net.resolved_max_duration())
+        with Tape() as tape:
+            loss, _ = total_loss(model(seq), labels, run.training.mse_weight)
+            tape.backward(loss)
+        assert seq.num_snippets == 32
+        assert 0 < len(tape) <= 200
 
 
 class TestCheckpointResume:
