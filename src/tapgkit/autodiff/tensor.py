@@ -187,15 +187,24 @@ class Tape:
         self._records.clear()
         self._consumed = False
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor, params: Iterable[Tensor] = ()) -> None:
+        """Replay the log in reverse from the scalar ``loss``.
+
+        Every leaf the log reads, and every tensor in ``params``, gets a fresh
+        zero gradient first, so after the pass each holds this loss's gradient
+        alone. Pass a model's parameters so that those the graph never reaches
+        (an unused branch this time) also hold zero, not an earlier step's
+        gradient.
+        """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if self._consumed:
             raise GraphError("tape already replayed; reset it before reuse")
         # results recorded here start without a buffer; only the leaves (the
         # tracked inputs recorded elsewhere) carry gradients from earlier passes
-        leaves = {id(t): t for rec in self._records for t in rec.inputs
-                  if t.requires_grad and t._tape is not self._ref}
+        leaves = {id(t): t for t in params}
+        leaves.update((id(t), t) for rec in self._records for t in rec.inputs
+                      if t.requires_grad and t._tape is not self._ref)
         for t in leaves.values():
             t.zero_grad()
         if loss.requires_grad:
@@ -431,6 +440,22 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
+def scatter_mask(a: Tensor, mask) -> Tensor:
+    """Lay the last axis of ``a`` out over the true cells of a boolean mask.
+
+    ``a`` has shape (..., V) with V the mask's true count; the result has
+    shape (..., *mask.shape), its true cells filled in row-major order and
+    zeros elsewhere. It inverts ``x[..., mask]``, which is its backward.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    cells = np.count_nonzero(mask)
+    if a.data.ndim < 1 or a.data.shape[-1] != cells:
+        raise ShapeError(f"shape {a.data.shape} does not end in the mask's {cells} true cells")
+    out = np.zeros(a.data.shape[:-1] + mask.shape, dtype=a.data.dtype)
+    out[..., mask] = a.data
+    return _from_op(out, (a,), lambda g: _accum(a, g[..., mask]))
+
+
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -499,8 +524,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul stacks do not broadcast: {a.data.shape} @ {b.data.shape}") from err
 
     def backward(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        # a constant side (a fixed sampling matrix, say) costs no product
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _from_op(out, (a, b), backward)
 
@@ -524,7 +552,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def backward(g):
         gf = g.reshape(-1, weight.data.shape[1])
-        _accum(x, (gf @ weight.data.T).reshape(x.data.shape))
+        if x.requires_grad:
+            _accum(x, (gf @ weight.data.T).reshape(x.data.shape))
         _accum(weight, flat.T @ gf)
         if bias is not None:
             _accum(bias, gf.sum(axis=0))

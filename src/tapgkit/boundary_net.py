@@ -11,8 +11,15 @@ duration d (row index d-1), ``num_samples`` points are placed along
 triangular interpolation between its two neighbouring snippet columns;
 columns outside [0, T-1] contribute zero. Cells that overrun the sequence
 (t + d > T) are all-zero and masked invalid. Because sampling is linear in
-the base sequence, the whole layer is one matmul with a precomputed constant
-matrix.
+the base sequence, it is one matmul with a precomputed constant, which
+keeps only the V valid cells' columns: (T, num_samples * V).
+
+The sample collapse (``sample_collapse``, a Conv3d whose (num_samples, 1, 1)
+kernel strides over the samples) is linear too. Its weight, flattened to
+(out, channels * num_samples), multiplies the sampled (channels *
+num_samples, V) matrix; the V result columns are laid out on the grid and
+the collapse bias is added everywhere, so an invalid cell holds the bias
+alone, exactly what the convolution gives its all-zero input.
 
 Grid cell (row r, column t) therefore covers the interval [t, t + r + 1] in
 snippet coordinates.
@@ -20,7 +27,6 @@ snippet coordinates.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +71,9 @@ def valid_cells(num_snippets: int, max_duration: int) -> np.ndarray:
     return (t + r + 1) <= num_snippets
 
 
-@functools.lru_cache(maxsize=8)
 def build_sampling_weights(num_snippets: int, max_duration: int,
                            num_samples: int) -> np.ndarray:
-    """Constant matrix (T, num_samples, max_duration, T) realizing the sampler."""
+    """Dense float64 array (T, num_samples, max_duration, T) realizing the sampler."""
     r, t = np.nonzero(valid_cells(num_snippets, max_duration))
     positions = np.linspace(t, t + r + 1, num_samples, axis=-1)   # (cells, samples)
     lo = np.floor(positions).astype(np.int64)
@@ -79,7 +84,6 @@ def build_sampling_weights(num_snippets: int, max_duration: int,
         col = j[cell, sample]
         w[col, sample, r[cell], t[cell]] = np.maximum(
             0.0, 1.0 - np.abs(positions[cell, sample] - col))
-    w.flags.writeable = False
     return w
 
 
@@ -100,6 +104,7 @@ class BoundaryNet(Module):
         self.trunk2 = Conv1d(rng, cfg.trunk_hidden, cfg.trunk_out, 3, padding=1)
         self.boundary1 = Conv1d(rng, cfg.trunk_out, cfg.boundary_hidden, 3, padding=1)
         self.boundary2 = Conv1d(rng, cfg.boundary_hidden, 2, 3, padding=1)
+        # a Conv3d for its parameter names, shapes and init; applied as a matmul
         self.sample_collapse = Conv3d(rng, cfg.trunk_out, cfg.proposal_conv3d_out,
                                       (cfg.num_samples, 1, 1),
                                       stride=(cfg.num_samples, 1, 1))
@@ -107,10 +112,11 @@ class BoundaryNet(Module):
         self.grid2 = Conv2d(rng, cfg.proposal_conv2d_hidden, cfg.proposal_conv2d_hidden,
                             3, padding=1)
         self.grid3 = Conv2d(rng, cfg.proposal_conv2d_hidden, 1, 1)
-        weights = build_sampling_weights(cfg.num_snippets, d, cfg.num_samples)
-        flat = weights.reshape(cfg.num_snippets, -1)
-        self._sampling = T.constant(flat)
         self._valid = valid_cells(cfg.num_snippets, d)
+        # the dense float64 build is a temporary: only the valid cells' columns stay
+        cells = build_sampling_weights(cfg.num_snippets, d, cfg.num_samples).reshape(
+            cfg.num_snippets, cfg.num_samples, -1).take(np.flatnonzero(self._valid), axis=2)
+        self._sampling = T.constant(cells.reshape(cfg.num_snippets, -1))   # (T, n*V)
 
     def __call__(self, features: Tensor) -> BoundaryNetOutput:
         cfg = self.cfg
@@ -126,10 +132,13 @@ class BoundaryNet(Module):
         start = T.reshape(T.gather_rows(bounds, [0]), (cfg.num_snippets,))
         end = T.reshape(T.gather_rows(bounds, [1]), (cfg.num_snippets,))
 
-        sampled = T.matmul(base, self._sampling)                     # (trunk_out, n*d*T)
-        sampled = T.reshape(sampled, (cfg.trunk_out, cfg.num_samples, d, cfg.num_snippets))
-        x = T.relu(self.sample_collapse(sampled))                    # (c3d, 1, d, T)
-        x = T.reshape(x, (cfg.proposal_conv3d_out, d, cfg.num_snippets))
+        c3d = cfg.proposal_conv3d_out
+        collapse = self.sample_collapse
+        sampled = T.matmul(base, self._sampling)                     # (trunk_out, n*V)
+        sampled = T.reshape(sampled, (cfg.trunk_out * cfg.num_samples, -1))
+        x = T.matmul(T.reshape(collapse.weight, (c3d, -1)), sampled)  # (c3d, V)
+        x = T.add(T.scatter_mask(x, self._valid), T.reshape(collapse.bias, (c3d, 1, 1)))
+        x = T.relu(x)                                                # (c3d, d, T)
         x = T.relu(self.grid1(x))
         x = T.relu(self.grid2(x))
         actionness = T.reshape(T.sigmoid(self.grid3(x)), (d, cfg.num_snippets))

@@ -242,7 +242,8 @@ def train(model: ProposalModel, features: dict[str, VideoFeatureSequence],
                           net_cfg.resolved_max_duration())
         for vid in ids
     }
-    opt = optimizer or Adam(model.parameters(), lr=cfg.learning_rate)
+    params = model.parameters()
+    opt = optimizer or Adam(params, lr=cfg.learning_rate)
 
     reports: list[EpochReport] = []
     for epoch in range(start_epoch, cfg.epochs):
@@ -250,14 +251,13 @@ def train(model: ProposalModel, features: dict[str, VideoFeatureSequence],
         batch: list[LossReport] = []
         for i in order:
             vid = ids[int(i)]
-            model.zero_grad()
             with Tape() as tape:
                 output = model(features[vid])
                 loss, report = total_loss(output, labels[vid], cfg.mse_weight)
                 if not np.isfinite(report.total):
                     raise DegenerateInputError(
                         f"non-finite loss on {vid} at epoch {epoch}: {report.total}")
-                tape.backward(loss)
+                tape.backward(loss, params)
             opt.step()
             batch.append(report)
         epoch_report = EpochReport(

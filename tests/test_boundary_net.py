@@ -1,9 +1,11 @@
-"""Proposal network: sampling-matrix oracle, shapes, validity, probabilities."""
+"""Proposal network: sampling-matrix oracle, shapes, validity, probabilities,
+and the valid-cell matching path against the dense conv3d formulation."""
 
 import numpy as np
 import pytest
 
 from tapgkit.autodiff import tensor as T
+from tapgkit.autodiff.layers import Module
 from tapgkit.autodiff.tensor import Tape, Tensor
 from tapgkit.boundary_net import (
     BoundaryNet,
@@ -155,3 +157,84 @@ class TestNetwork:
             tape.backward(loss)
         for name, p in net.named_parameters():
             assert np.abs(p.grad).sum() > 0.0, f"{name} received no gradient"
+
+
+def _dense_forward(net: BoundaryNet, features: Tensor):
+    """The matching path as a dense formulation: every grid cell sampled with
+    the full ``build_sampling_weights`` constant, collapsed by ``T.conv3d``."""
+    cfg = net.cfg
+    d = cfg.resolved_max_duration()
+    base = T.relu(net.trunk2(T.relu(net.trunk1(features))))
+    bounds = T.sigmoid(net.boundary2(T.relu(net.boundary1(base))))
+    dense = build_sampling_weights(cfg.num_snippets, d, cfg.num_samples)
+    sampled = T.matmul(base, T.constant(dense.reshape(cfg.num_snippets, -1)))
+    sampled = T.reshape(sampled, (cfg.trunk_out, cfg.num_samples, d, cfg.num_snippets))
+    x = T.conv3d(sampled, net.sample_collapse.weight, net.sample_collapse.bias,
+                 stride=(cfg.num_samples, 1, 1))
+    x = T.relu(T.reshape(x, (cfg.proposal_conv3d_out, d, cfg.num_snippets)))
+    x = T.relu(net.grid2(T.relu(net.grid1(x))))
+    return bounds, T.reshape(T.sigmoid(net.grid3(x)), (d, cfg.num_snippets))
+
+
+def _held_arrays(module):
+    for value in vars(module).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, Tensor):
+            yield value.data
+        elif isinstance(value, Module):
+            yield from _held_arrays(value)
+
+
+GRIDS = [(32, 32, 16), (10, 4, 5), (7, 7, 2), (1, 1, 2)]   # (T, max_duration, samples)
+
+
+class TestValidCellMatching:
+    def _net(self, num_snippets, max_duration, num_samples):
+        cfg = BoundaryNetConfig(feature_dim=6, num_snippets=num_snippets,
+                                max_duration=max_duration, num_samples=num_samples,
+                                trunk_hidden=10, trunk_out=7, boundary_hidden=9,
+                                proposal_conv3d_out=11, proposal_conv2d_hidden=5)
+        rng = np.random.default_rng(num_snippets * 10 + num_samples)
+        net = BoundaryNet(rng, cfg)
+        for name, p in net.named_parameters():
+            if name.endswith("bias"):   # zero at init, which would hide a misplaced bias
+                p.data = rng.standard_normal(p.data.shape).astype(p.data.dtype)
+        return net
+
+    def _loss_and_grads(self, net, forward, features):
+        with Tape() as tape:
+            bounds, actionness = forward(features)
+            loss = T.add(scalarize(actionness), scalarize(bounds))
+            tape.backward(loss, net.parameters())
+        return actionness.data.copy(), {n: p.grad.copy() for n, p in net.named_parameters()}
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_equals_dense_conv3d_formulation(self, grid):
+        with T.default_dtype(np.float64):
+            net = self._net(*grid)
+            features = Tensor(np.random.default_rng(7).standard_normal((6, grid[0])))
+
+            def folded(x):
+                out = net(x)
+                return T.stack([out.start, out.end]), out.actionness
+
+            got, got_grads = self._loss_and_grads(net, folded, features)
+            want, want_grads = self._loss_and_grads(
+                net, lambda x: _dense_forward(net, x), features)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        assert got_grads.keys() == want_grads.keys()
+        for name, g in got_grads.items():
+            np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=1e-9,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_holds_only_the_valid_cell_constant(self, grid):
+        num_snippets, max_duration, num_samples = grid
+        net = self._net(*grid)
+        cells = int(valid_cells(num_snippets, max_duration).sum())
+        assert net._sampling.data.shape == (num_snippets, num_samples * cells)
+        assert net._sampling.data.dtype == T.get_default_dtype()
+        if cells < max_duration * num_snippets:   # else the two constants coincide
+            dense = num_snippets * num_samples * max_duration * num_snippets
+            assert all(a.size != dense for a in _held_arrays(net))

@@ -95,6 +95,17 @@ class TestTapeSemantics:
         assert unused.grad is None
         np.testing.assert_allclose(a.grad, [2.0, 2.0])
 
+    def test_params_the_graph_misses_are_zeroed(self):
+        a = T.parameter(np.array([2.0]))
+        b = T.parameter(np.array([5.0]))
+        with Tape() as tape:
+            tape.backward(T.sum_(T.mul(a, b)))
+        np.testing.assert_allclose(b.grad, [2.0])
+        with Tape() as tape:
+            tape.backward(T.sum_(T.mul(a, a)), [a, b])
+        np.testing.assert_allclose(a.grad, [4.0])
+        np.testing.assert_array_equal(b.grad, [0.0])
+
     def test_dropped_tape_is_freed_without_the_cycle_collector(self):
         a = T.parameter(np.ones(3))
         gc.disable()
@@ -163,6 +174,15 @@ class TestValueSemantics:
     def test_matmul_stacks_must_broadcast(self):
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 2))))
+
+    def test_scatter_mask_lays_columns_out_row_major(self):
+        mask = np.array([[True, False, True], [False, True, False]])
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        got = T.scatter_mask(x, mask).data
+        np.testing.assert_array_equal(got[0], [[0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        np.testing.assert_array_equal(got[:, mask], x.data)
+        with pytest.raises(ShapeError):
+            T.scatter_mask(Tensor(np.ones((2, 4))), mask)
 
     def test_transpose_needs_matrix(self):
         with pytest.raises(ShapeError):
@@ -376,6 +396,18 @@ class TestOpGradients:
         for i in range(5):
             np.testing.assert_array_equal(got[i], a[i] @ b[i])
             np.testing.assert_array_equal(flipped[i], a[i].T)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scatter_mask(self, seed):
+        def build(rng):
+            mask = rng.random((3, 4)) < 0.5
+            a = _param(rng, 2, int(mask.sum()))
+
+            def forward():
+                grid = T.scatter_mask(a, mask)          # (2, 3, 4)
+                return scalarize(T.mul(grid, grid))
+            return forward, [a]
+        self.run(seed, build)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_linear_with_bias(self, seed):
