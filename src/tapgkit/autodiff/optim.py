@@ -45,7 +45,3 @@ class Adam:
             m_hat = m / c1
             v_hat = v / c2
             p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()

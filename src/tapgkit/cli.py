@@ -10,10 +10,12 @@ configuration to stdout, so runs are reproducible from captured logs alone.
 Failures exit nonzero with a one-line JSON error on stderr. Set TAPGKIT_LOG
 (DEBUG, INFO, WARNING, ERROR) to control log verbosity.
 
-Result files (checkpoints, proposals, manifest.json, report.json, the AR
-curve files and sweep results) are replaced in one step by
-``files.write_atomic``, so an interrupted command leaves the previous file
-intact; ``epochs.jsonl`` is an append log.
+Result files (the configuration written by ``config --out``, checkpoints,
+proposals, manifest.json, report.json, the AR curve files and sweep results)
+are replaced in one step by ``files.write_atomic``, so an interrupted command
+leaves the previous file intact; ``epochs.jsonl`` is an append log. A
+checkpoint holds the optimizer state too, so ``train --resume`` continues
+exactly where the interrupted run stopped.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
+from tapgkit.autodiff.optim import Adam
 from tapgkit.config import (
+    DEFAULT_CONFIG,
     RunConfig,
     describe,
     load_run_config,
@@ -144,7 +148,6 @@ def _cmd_config(args) -> int:
         write_default_config(args.out)
         print(json.dumps({"command": "config", "written": str(args.out)}))
     else:
-        from tapgkit.config import DEFAULT_CONFIG
         sys.stdout.write(DEFAULT_CONFIG)
     return 0
 
@@ -175,9 +178,10 @@ def _cmd_train(args) -> int:
 
     annotations, features = _load_corpus(data_root)
     model = _build_model(cfg, features, cfg.training.seed)
+    optimizer = Adam(model.parameters(), lr=cfg.training.learning_rate)
     start_epoch = 0
     if args.resume:
-        start_epoch = load_training_state(args.resume, model)
+        start_epoch = load_training_state(args.resume, model, optimizer)
         log.info("resumed from %s at epoch %d", args.resume, start_epoch)
     if start_epoch >= cfg.training.epochs:
         raise ConfigError(f"nothing to do: checkpoint already at epoch {start_epoch} "
@@ -188,11 +192,11 @@ def _cmd_train(args) -> int:
     checkpoint_path = out_dir / "checkpoint.tapg"
 
     def checkpoint_epoch(trained_model, report):
-        save_training_state(checkpoint_path, trained_model, report.epoch + 1)
+        save_training_state(checkpoint_path, trained_model, report.epoch + 1, optimizer)
 
     with open(out_dir / "epochs.jsonl", "a" if args.resume else "w") as stream:
         reports = train(model, features, annotations, cfg.training,
-                        log_stream=stream, start_epoch=start_epoch,
+                        log_stream=stream, optimizer=optimizer, start_epoch=start_epoch,
                         on_epoch=checkpoint_epoch)
     final = reports[-1].mean_total if reports else float("nan")
     manifest = describe(cfg)
@@ -299,8 +303,9 @@ def _cmd_sweep(args) -> int:
 # plotting
 # ---------------------------------------------------------------------------
 
-def _curve_svg(recalls: np.ndarray, width: int = 640, height: int = 400) -> str:
+def _curve_svg(recalls: np.ndarray) -> str:
     """Recall-vs-budget line chart as a standalone SVG document."""
+    width, height = 640, 400
     left, right, top, bottom = 60, 20, 20, 50
     plot_w = width - left - right
     plot_h = height - top - bottom

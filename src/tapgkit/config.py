@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import io
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from tapgkit.boundary_net import BoundaryNetConfig
 from tapgkit.data.synthetic import SyntheticConfig
 from tapgkit.errors import ConfigError
 from tapgkit.evaluation import EvalConfig
+from tapgkit.files import write_atomic
 from tapgkit.inference import (
     HardSuppressionConfig,
     SoftSuppressionConfig,
@@ -117,58 +118,47 @@ class RunConfig:
 
 
 class _Section:
-    """One INI section with typed access and consumed-key tracking."""
+    """One INI section: values parsed by dataclass field type, consumed keys tracked."""
 
     def __init__(self, name: str, items: dict[str, str]):
         self.name = name
         self._items = items
         self._seen: set[str] = set()
 
-    def _raw(self, key: str) -> str | None:
+    def get(self, key: str) -> str:
+        """The stripped value of ``key``, or "" when it is absent or blank."""
         self._seen.add(key)
-        return self._items.get(key)
+        return self._items.get(key, "").strip()
 
-    def get_int(self, key: str, default: int) -> int:
-        raw = self._raw(key)
-        if raw is None or raw == "":
-            return default
+    def read(self, base, skip=()):
+        """``base`` with every field this section sets replaced; blank keeps the default."""
+        hints = typing.get_type_hints(type(base))
+        changes = {}
+        for f in dataclasses.fields(base):
+            if f.name not in skip and (raw := self.get(f.name)):
+                changes[f.name] = self._parse(f.name, raw, hints[f.name])
+        return dataclasses.replace(base, **changes)
+
+    def _parse(self, key: str, raw: str, kind):
+        context = f"[{self.name}] {key}"
+        if kind == tuple[float, ...]:
+            return parse_threshold_list(raw, context)
+        if kind == tuple[int, ...]:
+            return _int_list(raw, context)
+        if kind is str:
+            return raw
+        if kind is bool:
+            lowered = raw.lower()
+            if lowered in ("1", "true", "yes", "on"):
+                return True
+            if lowered in ("0", "false", "no", "off"):
+                return False
+            raise ConfigError(f"{context} = {raw!r} is not a boolean")
         try:
-            return int(raw)
+            return float(raw) if kind is float else int(raw)
         except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not an integer") from None
-
-    def get_optional_int(self, key: str) -> int | None:
-        raw = self._raw(key)
-        if raw is None or raw == "":
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not an integer") from None
-
-    def get_float(self, key: str, default: float) -> float:
-        raw = self._raw(key)
-        if raw is None or raw == "":
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a number") from None
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self._raw(key)
-        if raw is None or raw == "":
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a boolean")
-
-    def get_str(self, key: str, default: str) -> str:
-        raw = self._raw(key)
-        return default if raw in (None, "") else raw.strip()
+            noun = "a number" if kind is float else "an integer"
+            raise ConfigError(f"{context} = {raw!r} is not {noun}") from None
 
     def check_consumed(self) -> None:
         unknown = sorted(set(self._items) - self._seen)
@@ -201,8 +191,33 @@ def _int_list(text: str, context: str) -> tuple[int, ...]:
         raise ConfigError(f"{context}: bad integer list {text!r}") from None
 
 
-_KNOWN_SECTIONS = ("data", "synthetic", "representation", "boundary_net",
-                   "training", "inference", "evaluation")
+# INI section -> (RunConfig field, fields the file may not set). Sections are
+# read in this order, after [data]; the model's input widths come from the data.
+_SECTIONS = {
+    "synthetic": ("synthetic", ("env_overhang",)),
+    "representation": ("representation", ("env_dim", "actor_dim", "object_dim")),
+    "boundary_net": ("boundary", ()),
+    "training": ("training", ()),
+    "inference": ("suppression", ()),
+    "evaluation": ("evaluation", ()),
+}
+
+
+def _read_suppression(sec: _Section, default):
+    """A preset (only ``max_keep`` may be overridden) or explicit soft/hard parameters."""
+    mode = sec.get("mode")
+    if mode == "":
+        preset = sec.get("preset")
+        base = suppression_preset(preset) if preset else default
+        sup = sec.read(base, skip=[f.name for f in dataclasses.fields(base)
+                                   if f.name != "max_keep"])
+    elif mode == "soft":
+        sup = sec.read(SoftSuppressionConfig(sigma=0.4))
+    elif mode == "hard":
+        sup = sec.read(HardSuppressionConfig(threshold=0.45))
+    else:
+        raise ConfigError(f"[inference] mode must be 'soft' or 'hard', got {mode!r}")
+    return sup
 
 
 def load_run_config(path=None) -> RunConfig:
@@ -219,143 +234,41 @@ def load_run_config(path=None) -> RunConfig:
         except configparser.Error as err:
             raise ConfigError(f"{path}: {err}") from err
 
-    unknown_sections = sorted(set(parser.sections()) - set(_KNOWN_SECTIONS))
+    unknown_sections = sorted(set(parser.sections()) - {"data", *_SECTIONS})
     if unknown_sections:
         raise ConfigError(f"unknown config sections: {unknown_sections}")
 
     def section(name: str) -> _Section:
-        items = dict(parser[name]) if parser.has_section(name) else {}
-        return _Section(name, items)
+        return _Section(name, dict(parser[name]) if parser.has_section(name) else {})
 
     cfg = RunConfig()
-
     data = section("data")
-    cfg.data_root = Path(data.get_str("root", "corpus"))
+    cfg.data_root = Path(data.get("root") or cfg.data_root)
     data.check_consumed()
-
-    syn = section("synthetic")
-    base = SyntheticConfig()
-    cfg.synthetic = SyntheticConfig(
-        num_videos=syn.get_int("num_videos", base.num_videos),
-        num_snippets=syn.get_int("num_snippets", base.num_snippets),
-        snippet_stride=syn.get_int("snippet_stride", base.snippet_stride),
-        fps=syn.get_float("fps", base.fps),
-        env_dim=syn.get_int("env_dim", base.env_dim),
-        actor_dim=syn.get_int("actor_dim", base.actor_dim),
-        object_dim=syn.get_int("object_dim", base.object_dim),
-        max_actors=syn.get_int("max_actors", base.max_actors),
-        objects_per_snippet=syn.get_int("objects_per_snippet", base.objects_per_snippet),
-        num_classes=syn.get_int("num_classes", base.num_classes),
-        min_action_len=syn.get_int("min_action_len", base.min_action_len),
-        max_action_len=syn.get_int("max_action_len", base.max_action_len),
-        max_actions_per_video=syn.get_int("max_actions_per_video",
-                                          base.max_actions_per_video),
-        signal=syn.get_float("signal", base.signal),
-        noise=syn.get_float("noise", base.noise),
-        seed=syn.get_int("seed", base.seed),
-    )
-    syn.check_consumed()
-
-    rep = section("representation")
-    rep_base = RepresentationConfig()
-    cfg.representation = RepresentationConfig(
-        feature_dim=rep.get_int("feature_dim", rep_base.feature_dim),
-        attention_hidden=rep.get_int("attention_hidden", rep_base.attention_hidden),
-        attention_mode=rep.get_str("attention_mode", rep_base.attention_mode),
-        use_environment=rep.get_bool("use_environment", rep_base.use_environment),
-        use_actors=rep.get_bool("use_actors", rep_base.use_actors),
-        use_objects=rep.get_bool("use_objects", rep_base.use_objects),
-    )
-    rep.check_consumed()
-
-    net = section("boundary_net")
-    net_base = BoundaryNetSettings()
-    cfg.boundary = BoundaryNetSettings(
-        max_duration=net.get_optional_int("max_duration"),
-        num_samples=net.get_int("num_samples", net_base.num_samples),
-        trunk_hidden=net.get_int("trunk_hidden", net_base.trunk_hidden),
-        trunk_out=net.get_int("trunk_out", net_base.trunk_out),
-        boundary_hidden=net.get_int("boundary_hidden", net_base.boundary_hidden),
-        proposal_conv3d_out=net.get_int("proposal_conv3d_out",
-                                        net_base.proposal_conv3d_out),
-        proposal_conv2d_hidden=net.get_int("proposal_conv2d_hidden",
-                                           net_base.proposal_conv2d_hidden),
-    )
-    net.check_consumed()
-
-    tr = section("training")
-    tr_base = TrainConfig()
-    cfg.training = TrainConfig(
-        epochs=tr.get_int("epochs", tr_base.epochs),
-        learning_rate=tr.get_float("learning_rate", tr_base.learning_rate),
-        mse_weight=tr.get_float("mse_weight", tr_base.mse_weight),
-        seed=tr.get_int("seed", tr_base.seed),
-    )
-    tr.check_consumed()
-
-    inf = section("inference")
-    mode = inf.get_str("mode", "")
-    max_keep = inf.get_int("max_keep", 100)
-    if mode == "":
-        sup = suppression_preset(inf.get_str("preset", "anet-tapg-snms"))
-        sup.max_keep = max_keep
-    elif mode == "soft":
-        sup = SoftSuppressionConfig(
-            sigma=inf.get_float("sigma", 0.4),
-            overlap_offset=inf.get_float("overlap_offset", 0.0),
-            distance_weight=inf.get_float("distance_weight", 0.0),
-            score_floor=inf.get_float("score_floor", 1e-4),
-            max_keep=max_keep,
-        )
-    elif mode == "hard":
-        sup = HardSuppressionConfig(threshold=inf.get_float("threshold", 0.45),
-                                    max_keep=max_keep)
-    else:
-        raise ConfigError(f"[inference] mode must be 'soft' or 'hard', got {mode!r}")
-    sup.validate()
-    cfg.suppression = sup
-    inf.check_consumed()
-
-    ev = section("evaluation")
-    ev_base = EvalConfig()
-    tious_text = ev.get_str("tious", "")
-    tious = (parse_threshold_list(tious_text, "[evaluation] tious")
-             if tious_text else ev_base.tious)
-    budgets_text = ev.get_str("report_budgets", "")
-    budgets = (_int_list(budgets_text, "[evaluation] report_budgets")
-               if budgets_text else ev_base.report_budgets)
-    cfg.evaluation = EvalConfig(
-        tious=tuple(tious),
-        max_budget=ev.get_int("max_budget", ev_base.max_budget),
-        report_budgets=budgets,
-    )
-    cfg.evaluation.validate()
-    ev.check_consumed()
-
+    for name, (attr, skip) in _SECTIONS.items():
+        sec = section(name)
+        if name == "inference":
+            value = _read_suppression(sec, cfg.suppression)
+        else:
+            value = sec.read(getattr(cfg, attr), skip)
+        # the other sections are validated where they are used, after any
+        # command-line override (--epochs, --seed) has been applied
+        if name in ("inference", "evaluation"):
+            value.validate()
+        sec.check_consumed()
+        setattr(cfg, attr, value)
     return cfg
 
 
 def write_default_config(path) -> None:
-    Path(path).write_text(DEFAULT_CONFIG)
+    write_atomic(path, DEFAULT_CONFIG)
 
 
 def describe(cfg: RunConfig) -> dict:
     """JSON-friendly dump of a resolved run configuration."""
-    payload = {
-        "data": {"root": str(cfg.data_root)},
-        "synthetic": dataclasses.asdict(cfg.synthetic),
-        "representation": dataclasses.asdict(cfg.representation),
-        "boundary_net": dataclasses.asdict(cfg.boundary),
-        "training": dataclasses.asdict(cfg.training),
-        "inference": {
-            "kind": ("soft" if isinstance(cfg.suppression, SoftSuppressionConfig)
-                     else "hard"),
-            **dataclasses.asdict(cfg.suppression),
-        },
-        "evaluation": {
-            "tious": list(cfg.evaluation.tious),
-            "max_budget": cfg.evaluation.max_budget,
-            "report_budgets": list(cfg.evaluation.report_budgets),
-        },
-    }
+    payload = {"data": {"root": str(cfg.data_root)}}
+    for name, (attr, _) in _SECTIONS.items():
+        payload[name] = dataclasses.asdict(getattr(cfg, attr))
+    kind = "soft" if isinstance(cfg.suppression, SoftSuppressionConfig) else "hard"
+    payload["inference"] = {"kind": kind, **payload["inference"]}
     return payload

@@ -28,7 +28,13 @@ from tapgkit.autodiff.tensor import Tape, Tensor
 from tapgkit.boundary_net import valid_cells
 from tapgkit.data.annotations import VideoAnnotation, rescale_action
 from tapgkit.data.features import VideoFeatureSequence
-from tapgkit.errors import ConfigError, DegenerateInputError, EmptyInputError, ShapeError
+from tapgkit.errors import (
+    ConfigError,
+    DegenerateInputError,
+    EmptyInputError,
+    FileFormatError,
+    ShapeError,
+)
 from tapgkit.evaluation import interval_iou
 from tapgkit.model import ProposalModel
 
@@ -111,8 +117,7 @@ def video_labels(annotation: VideoAnnotation, num_snippets: int,
 # losses
 # ---------------------------------------------------------------------------
 
-def weighted_binary_loss(pred: Tensor, labels: np.ndarray,
-                         floor: float = PROBABILITY_FLOOR) -> tuple[Tensor, bool]:
+def weighted_binary_loss(pred: Tensor, labels: np.ndarray) -> tuple[Tensor, bool]:
     """Count-balanced binary cross entropy.
 
     Positives and negatives are each averaged over their own population. When
@@ -126,7 +131,7 @@ def weighted_binary_loss(pred: Tensor, labels: np.ndarray,
         raise ShapeError(f"{pred.data.size} predictions for {labels.size} labels")
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
-    p = T.clip(T.reshape(pred, (-1,)), floor, 1.0 - floor)
+    p = T.clip(T.reshape(pred, (-1,)), PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
     terms = []
     if n_pos:
         terms.append(T.sum_(T.mul(T.constant(labels / n_pos), T.log(p))))
@@ -286,15 +291,38 @@ def train(model: ProposalModel, features: dict[str, VideoFeatureSequence],
 EPOCH_KEY = "meta.epochs_completed"
 
 
-def save_training_state(path, model: ProposalModel, epochs_completed: int) -> None:
+def _moments(optimizer: Adam) -> dict[str, np.ndarray]:
+    """Adam's moment arrays under their checkpoint entry names."""
+    named = {}
+    for i, (m, v) in enumerate(zip(optimizer._m, optimizer._v)):
+        named[f"optim.m.{i}"], named[f"optim.v.{i}"] = m, v
+    return named
+
+
+def save_training_state(path, model: ProposalModel, epochs_completed: int,
+                        optimizer: Adam | None = None) -> None:
+    """Write the parameters, the epoch count and, if given, Adam's step and moments."""
     state = model.state_dict()
     state[EPOCH_KEY] = np.array(float(epochs_completed))
+    if optimizer is not None:
+        state["optim.t"] = np.array(float(optimizer.t))
+        state.update(_moments(optimizer))
     save_checkpoint(path, state)
 
 
-def load_training_state(path, model: ProposalModel) -> int:
-    """Restore parameters; returns the number of completed epochs (0 if absent)."""
+def load_training_state(path, model: ProposalModel, optimizer: Adam | None = None) -> int:
+    """Restore parameters, and Adam's state when both the file and the caller
+    have one; returns the number of completed epochs (0 if absent)."""
     state = load_checkpoint(path)
     epochs = int(state.pop(EPOCH_KEY).item()) if EPOCH_KEY in state else 0
+    saved = {name: state.pop(name) for name in [n for n in state if n.startswith("optim.")]}
     model.load_state_dict(state)
+    if optimizer is not None and saved:
+        moments = _moments(optimizer)
+        if saved.keys() != {"optim.t", *moments} or any(
+                saved[name].shape != arr.shape for name, arr in moments.items()):
+            raise FileFormatError(f"{path}: optimizer state does not match the model")
+        optimizer.t = int(saved["optim.t"].item())
+        for name, arr in moments.items():
+            arr[...] = saved[name]
     return epochs

@@ -116,6 +116,15 @@ class TestTrainCommand:
                  (out / "epochs.jsonl").read_text().splitlines()]
         assert [l["epoch"] for l in lines] == [2]
 
+    def test_resume_matches_uninterrupted_run(self, small_ini, corpus_dir, run_dir, tmp_path):
+        out = tmp_path / "split"
+        args = ["train", "--config", str(small_ini), "--data", str(corpus_dir),
+                "--out", str(out)]
+        assert main(args + ["--epochs", "1"]) == 0
+        assert main(args + ["--resume", str(out / "checkpoint.tapg")]) == 0
+        for name in ("checkpoint.tapg", "epochs.jsonl"):
+            assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
     def test_epoch_override(self, small_ini, corpus_dir, tmp_path):
         out = tmp_path / "short"
         assert main(["train", "--config", str(small_ini),

@@ -1,12 +1,15 @@
 """INI run-configuration parsing."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tapgkit.config import (
     BoundaryNetSettings,
+    RunConfig,
     describe,
     load_run_config,
     parse_threshold_list,
@@ -14,6 +17,79 @@ from tapgkit.config import (
 )
 from tapgkit.errors import ConfigError
 from tapgkit.inference import HardSuppressionConfig, SoftSuppressionConfig
+
+
+EVERY_KEY = """
+[synthetic]
+num_videos = 5
+num_snippets = 24
+snippet_stride = 8
+fps = 12.5
+env_dim = 6
+actor_dim = 7
+object_dim = 9
+max_actors = 2
+objects_per_snippet = 4
+num_classes = 5
+min_action_len = 3
+max_action_len = 6
+max_actions_per_video = 3
+signal = 4.5
+noise = 0.5
+seed = 11
+
+[representation]
+feature_dim = 24
+attention_hidden = 48
+attention_mode = hard
+use_environment = no
+use_actors = off
+use_objects = false
+
+[boundary_net]
+max_duration = 12
+num_samples = 8
+trunk_hidden = 48
+trunk_out = 24
+boundary_hidden = 40
+proposal_conv3d_out = 96
+proposal_conv2d_hidden = 16
+
+[training]
+epochs = 3
+learning_rate = 0.01
+mse_weight = 5.0
+seed = 4
+
+[inference]
+mode = soft
+sigma = 0.6
+overlap_offset = 0.2
+distance_weight = 0.1
+score_floor = 0.001
+max_keep = 40
+
+[evaluation]
+tious = 0.3, 0.6
+max_budget = 50
+report_budgets = 2, 20
+"""
+
+EVERY_FIELD = {
+    "synthetic": dict(num_videos=5, num_snippets=24, snippet_stride=8, fps=12.5,
+                      env_dim=6, actor_dim=7, object_dim=9, max_actors=2,
+                      objects_per_snippet=4, num_classes=5, min_action_len=3,
+                      max_action_len=6, max_actions_per_video=3, signal=4.5,
+                      noise=0.5, seed=11),
+    "representation": dict(feature_dim=24, attention_hidden=48, attention_mode="hard",
+                           use_environment=False, use_actors=False, use_objects=False),
+    "boundary": dict(max_duration=12, num_samples=8, trunk_hidden=48, trunk_out=24,
+                     boundary_hidden=40, proposal_conv3d_out=96, proposal_conv2d_hidden=16),
+    "training": dict(epochs=3, learning_rate=0.01, mse_weight=5.0, seed=4),
+    "suppression": dict(sigma=0.6, overlap_offset=0.2, distance_weight=0.1,
+                        score_floor=0.001, max_keep=40),
+    "evaluation": dict(tious=(0.3, 0.6), max_budget=50, report_budgets=(2, 20)),
+}
 
 
 class TestDefaults:
@@ -34,6 +110,17 @@ class TestDefaults:
         cfg = load_run_config(path)
         assert cfg.synthetic == load_run_config().synthetic
         assert cfg.training == load_run_config().training
+
+    def test_default_file_matches_dataclass_defaults(self):
+        assert dataclasses.asdict(load_run_config()) == dataclasses.asdict(RunConfig())
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, failing_writes):
+        path = tmp_path / "run.ini"
+        path.write_text("[training]\nepochs = 3\n")
+        with failing_writes(), pytest.raises(OSError):
+            write_default_config(path)
+        assert path.read_text() == "[training]\nepochs = 3\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_default_tious_span_half_to_ninety_five(self):
         cfg = load_run_config()
@@ -60,6 +147,46 @@ learning_rate = 0.01
         assert cfg.training.learning_rate == 0.01
         # everything else keeps its default
         assert cfg.synthetic.num_snippets == 32
+
+    def test_every_settable_field_is_read(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(EVERY_KEY)
+        cfg, default = load_run_config(path), RunConfig()
+        for attr, values in EVERY_FIELD.items():
+            for key, value in values.items():
+                assert getattr(getattr(default, attr), key) != value, (attr, key)
+                assert getattr(getattr(cfg, attr), key) == value, (attr, key)
+        # a field added to a section's dataclass must be added to EVERY_KEY too
+        for attr, fixed in (("synthetic", {"env_overhang"}),
+                            ("representation", {"env_dim", "actor_dim", "object_dim"}),
+                            ("boundary", set()), ("training", set()),
+                            ("suppression", set()), ("evaluation", set())):
+            fields = {f.name for f in dataclasses.fields(getattr(RunConfig(), attr))}
+            assert fields - fixed == set(EVERY_FIELD[attr]), attr
+
+    def test_data_root(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[data]\nroot = elsewhere\n")
+        assert load_run_config(path).data_root == Path("elsewhere")
+
+    def test_blank_value_keeps_default(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[boundary_net]\nmax_duration =\n\n[training]\nepochs =\n")
+        cfg = load_run_config(path)
+        assert cfg.boundary.max_duration is None
+        assert cfg.training.epochs == 30
+
+    @pytest.mark.parametrize("text", [
+        "[synthetic]\nenv_overhang = 2\n",
+        "[representation]\nenv_dim = 8\n",
+        "[inference]\npreset = thumos-tapg-snms\nsigma = 0.5\n",
+        "[inference]\nmode = soft\npreset = anet-tapg-snms\n",
+    ])
+    def test_key_outside_the_section_rejected(self, tmp_path, text):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="unknown keys"):
+            load_run_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "run.ini"

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from tapgkit.autodiff import tensor as T
+from tapgkit.autodiff.checkpoint import load_checkpoint, save_checkpoint
+from tapgkit.autodiff.optim import Adam
 from tapgkit.autodiff.tensor import Tape
 from tapgkit.boundary_net import valid_cells
 from tapgkit.config import RunConfig
 from tapgkit.data.annotations import ActionInstance, VideoAnnotation
 from tapgkit.data.synthetic import SyntheticConfig, generate_corpus
-from tapgkit.errors import DegenerateInputError, EmptyInputError, ShapeError
+from tapgkit.errors import DegenerateInputError, EmptyInputError, FileFormatError, ShapeError
 from tapgkit.model import ProposalModel
 from tapgkit.representation import RepresentationConfig
 from tapgkit.training import (
@@ -322,3 +324,14 @@ class TestCheckpointResume:
         reports = train(model, corpus.features, corpus.annotations,
                         TrainConfig(epochs=4, seed=9), start_epoch=start)
         assert [r.epoch for r in reports] == [2, 3]
+
+    def test_mismatched_optimizer_state_rejected(self, tmp_path):
+        _, model = _tiny_setup(seed=7)
+        opt = Adam(model.parameters())
+        path = tmp_path / "ckpt.tapg"
+        save_training_state(path, model, 1, opt)
+        state = load_checkpoint(path)
+        state["optim.m.0"] = np.zeros(3)
+        save_checkpoint(path, state)
+        with pytest.raises(FileFormatError, match="optimizer state"):
+            load_training_state(path, model, Adam(model.parameters()))
