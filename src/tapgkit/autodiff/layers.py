@@ -100,7 +100,7 @@ class _ConvNd(Module):
     _op = None
 
     def __init__(self, rng: np.random.Generator, in_channels: int, out_channels: int,
-                 kernel_size, stride=1, padding=0, bias: bool = True):
+                 kernel_size, padding=0, bias: bool = True):
         k = (kernel_size,) * self._rank if isinstance(kernel_size, int) else tuple(kernel_size)
         if len(k) != self._rank:
             raise ShapeError(f"kernel_size must have {self._rank} extents")
@@ -109,12 +109,10 @@ class _ConvNd(Module):
         self.weight = T.parameter(glorot_uniform(rng, (out_channels, in_channels, *k),
                                                  fan_in, fan_out))
         self.bias = T.parameter(np.zeros(out_channels)) if bias else None
-        self.stride = stride
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return type(self)._op(x, self.weight, self.bias,
-                              stride=self.stride, padding=self.padding)
+        return type(self)._op(x, self.weight, self.bias, padding=self.padding)
 
 
 class Conv1d(_ConvNd):
@@ -125,11 +123,6 @@ class Conv1d(_ConvNd):
 class Conv2d(_ConvNd):
     _rank = 2
     _op = staticmethod(T.conv2d)
-
-
-class Conv3d(_ConvNd):
-    _rank = 3
-    _op = staticmethod(T.conv3d)
 
 
 class SelfAttentionEncoder(Module):

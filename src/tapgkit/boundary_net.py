@@ -14,11 +14,11 @@ columns outside [0, T-1] contribute zero. Cells that overrun the sequence
 the base sequence, it is one matmul with a precomputed constant, which
 keeps only the V valid cells' columns: (T, num_samples * V).
 
-The sample collapse (``sample_collapse``, a Conv3d whose (num_samples, 1, 1)
-kernel strides over the samples) is linear too. Its weight, flattened to
-(out, channels * num_samples), multiplies the sampled (channels *
-num_samples, V) matrix; the V result columns are laid out on the grid and
-the collapse bias is added everywhere, so an invalid cell holds the bias
+The sample collapse (``sample_collapse``) holds the weight (out, channels,
+num_samples, 1, 1) and bias of a conv3d striding over the samples. The
+weight, flattened to (out, channels * num_samples), multiplies the sampled
+(channels * num_samples, V) matrix; the V result columns are laid out on the
+grid and the bias is added everywhere, so an invalid cell holds the bias
 alone, exactly what the convolution gives its all-zero input.
 
 Grid cell (row r, column t) therefore covers the interval [t, t + r + 1] in
@@ -27,12 +27,13 @@ snippet coordinates.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
 from tapgkit.autodiff import tensor as T
-from tapgkit.autodiff.layers import Conv1d, Conv2d, Conv3d, Module
+from tapgkit.autodiff.layers import Conv1d, Conv2d, Module, glorot_uniform
 from tapgkit.autodiff.tensor import Tensor
 from tapgkit.errors import ConfigError, ShapeError
 
@@ -71,20 +72,46 @@ def valid_cells(num_snippets: int, max_duration: int) -> np.ndarray:
     return (t + r + 1) <= num_snippets
 
 
-def build_sampling_weights(num_snippets: int, max_duration: int,
-                           num_samples: int) -> np.ndarray:
-    """Dense float64 array (T, num_samples, max_duration, T) realizing the sampler."""
+def sampling_columns(num_snippets: int, max_duration: int, num_samples: int,
+                     dtype=np.float64) -> np.ndarray:
+    """(T, num_samples, V) sampler weights of the V valid cells, in row-major cell order."""
     r, t = np.nonzero(valid_cells(num_snippets, max_duration))
     positions = np.linspace(t, t + r + 1, num_samples, axis=-1)   # (cells, samples)
     lo = np.floor(positions).astype(np.int64)
-    w = np.zeros((num_snippets, num_samples, max_duration, num_snippets))
+    w = np.zeros((num_snippets, num_samples, r.size), dtype=dtype)
     for j in (lo, lo + 1):
         # positions lie in [0, T], so only the upper neighbour can fall outside
         cell, sample = np.nonzero(j < num_snippets)
         col = j[cell, sample]
-        w[col, sample, r[cell], t[cell]] = np.maximum(
-            0.0, 1.0 - np.abs(positions[cell, sample] - col))
+        w[col, sample, cell] = np.maximum(0.0, 1.0 - np.abs(positions[cell, sample] - col))
     return w
+
+
+def build_sampling_weights(num_snippets: int, max_duration: int,
+                           num_samples: int) -> np.ndarray:
+    """Dense float64 array (T, num_samples, max_duration, T) realizing the sampler."""
+    w = np.zeros((num_snippets, num_samples, max_duration, num_snippets))
+    w[..., valid_cells(num_snippets, max_duration)] = sampling_columns(
+        num_snippets, max_duration, num_samples)
+    return w
+
+
+def _retain_freed_memory() -> None:
+    """Have glibc keep freed array memory in its heap instead of unmapping it.
+
+    A forward and backward pass frees megabytes of numpy temporaries. Under
+    glibc's adaptive thresholds the next pass maps them afresh: about 1,750
+    page faults and a fifth of a desk training step. A fixed 32 MiB mmap
+    threshold (glibc's maximum) and 64 MiB trim threshold keep them for
+    reuse. This is process-wide, and a no-op where libc has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
 
 
 @dataclass
@@ -98,24 +125,25 @@ class BoundaryNetOutput:
 class BoundaryNet(Module):
     def __init__(self, rng: np.random.Generator, cfg: BoundaryNetConfig):
         cfg.validate()
+        _retain_freed_memory()
         self.cfg = cfg
         d = cfg.resolved_max_duration()
         self.trunk1 = Conv1d(rng, cfg.feature_dim, cfg.trunk_hidden, 3, padding=1)
         self.trunk2 = Conv1d(rng, cfg.trunk_hidden, cfg.trunk_out, 3, padding=1)
         self.boundary1 = Conv1d(rng, cfg.trunk_out, cfg.boundary_hidden, 3, padding=1)
         self.boundary2 = Conv1d(rng, cfg.boundary_hidden, 2, 3, padding=1)
-        # a Conv3d for its parameter names, shapes and init; applied as a matmul
-        self.sample_collapse = Conv3d(rng, cfg.trunk_out, cfg.proposal_conv3d_out,
-                                      (cfg.num_samples, 1, 1),
-                                      stride=(cfg.num_samples, 1, 1))
+        # a conv3d's parameters, applied as one matmul in __call__
+        self.sample_collapse = Module()
+        c, n, o = cfg.trunk_out, cfg.num_samples, cfg.proposal_conv3d_out
+        self.sample_collapse.weight = T.parameter(
+            glorot_uniform(rng, (o, c, n, 1, 1), c * n, o * n))
+        self.sample_collapse.bias = T.parameter(np.zeros(o))
         self.grid1 = Conv2d(rng, cfg.proposal_conv3d_out, cfg.proposal_conv2d_hidden, 1)
         self.grid2 = Conv2d(rng, cfg.proposal_conv2d_hidden, cfg.proposal_conv2d_hidden,
                             3, padding=1)
         self.grid3 = Conv2d(rng, cfg.proposal_conv2d_hidden, 1, 1)
         self._valid = valid_cells(cfg.num_snippets, d)
-        # the dense float64 build is a temporary: only the valid cells' columns stay
-        cells = build_sampling_weights(cfg.num_snippets, d, cfg.num_samples).reshape(
-            cfg.num_snippets, cfg.num_samples, -1).take(np.flatnonzero(self._valid), axis=2)
+        cells = sampling_columns(cfg.num_snippets, d, cfg.num_samples, T.get_default_dtype())
         self._sampling = T.constant(cells.reshape(cfg.num_snippets, -1))   # (T, n*V)
 
     def __call__(self, features: Tensor) -> BoundaryNetOutput:

@@ -69,6 +69,8 @@ class EvalConfig:
             raise ShapeError("overlap thresholds must lie in (0, 1]")
         if self.max_budget < 1:
             raise ShapeError("max_budget must be at least 1")
+        if any(b < 1 for b in self.report_budgets):
+            raise ShapeError("report_budgets must each be at least 1")
 
 
 def _sorted_proposals(proposals: list) -> np.ndarray:
@@ -149,8 +151,7 @@ def _average_precision(tp: np.ndarray, fp: np.ndarray, num_gt: int) -> float:
     precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
     mrec = np.concatenate(([0.0], recall, [1.0]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(mpre.size - 1, 0, -1):
-        mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     changed = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     return float(np.sum((mrec[changed] - mrec[changed - 1]) * mpre[changed]))
 

@@ -56,16 +56,12 @@ def boundary_labels(points: list[float], num_snippets: int) -> np.ndarray:
     its own width worth of region, summed over all points. Neither interval
     is clipped to the sequence.
     """
-    labels = np.zeros(num_snippets)
-    if not points:
-        return labels
-    for t in range(num_snippets):
-        covered = 0.0
-        for p in points:
-            covered += max(0.0, min(t + 1.0, p + 1.5) - max(t - 1.0, p - 1.5)) / 3.0
-        if covered >= 0.5:
-            labels[t] = 1.0
-    return labels
+    t = np.arange(num_snippets, dtype=np.float64)
+    covered = np.zeros(num_snippets)
+    for p in points:
+        overlap = np.minimum(t + 1.0, p + 1.5) - np.maximum(t - 1.0, p - 1.5)
+        covered += np.maximum(0.0, overlap) / 3.0
+    return (covered >= 0.5).astype(np.float64)
 
 
 def grid_labels(segments: list[tuple[float, float]], num_snippets: int,

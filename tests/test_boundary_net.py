@@ -1,6 +1,12 @@
 """Proposal network: sampling-matrix oracle, shapes, validity, probabilities,
 and the valid-cell matching path against the dense conv3d formulation."""
 
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +130,13 @@ class TestNetwork:
         cfg = BoundaryNetConfig(feature_dim=32, num_snippets=16)
         net = BoundaryNet(np.random.default_rng(2), cfg)
         shapes = {name: p.data.shape for name, p in net.named_parameters()}
+        # Adam's checkpointed moments are indexed by this order
+        assert list(shapes) == [
+            f"{layer}.{kind}"
+            for layer in ("trunk1", "trunk2", "boundary1", "boundary2",
+                          "sample_collapse", "grid1", "grid2", "grid3")
+            for kind in ("weight", "bias")
+        ]
         assert shapes["trunk1.weight"] == (256, 32, 3)
         assert shapes["trunk2.weight"] == (128, 256, 3)
         assert shapes["boundary1.weight"] == (256, 128, 3)
@@ -232,9 +245,54 @@ class TestValidCellMatching:
     def test_holds_only_the_valid_cell_constant(self, grid):
         num_snippets, max_duration, num_samples = grid
         net = self._net(*grid)
-        cells = int(valid_cells(num_snippets, max_duration).sum())
+        valid = valid_cells(num_snippets, max_duration)
+        cells = int(valid.sum())
         assert net._sampling.data.shape == (num_snippets, num_samples * cells)
         assert net._sampling.data.dtype == T.get_default_dtype()
+        weights = build_sampling_weights(num_snippets, max_duration, num_samples)
+        assert np.array_equal(net._sampling.data, weights[..., valid].reshape(
+            num_snippets, -1).astype(T.get_default_dtype()))
         if cells < max_duration * num_snippets:   # else the two constants coincide
             dense = num_snippets * num_samples * max_duration * num_snippets
             assert all(a.size != dense for a in _held_arrays(net))
+
+    def test_build_makes_no_dense_temporary(self):
+        num_snippets, max_duration, num_samples = 64, 64, 16
+        dense_bytes = 8 * num_snippets * num_samples * max_duration * num_snippets
+        tracemalloc.start()
+        try:
+            self._net(num_snippets, max_duration, num_samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
+
+
+_PASS_FAULTS = """
+import resource
+import numpy as np
+from tapgkit.autodiff import tensor as T
+from tapgkit.boundary_net import BoundaryNet, BoundaryNetConfig
+cfg = BoundaryNetConfig(feature_dim=32, num_snippets=32, num_samples=16,
+                        trunk_hidden=64, trunk_out=32, boundary_hidden=64,
+                        proposal_conv3d_out=128, proposal_conv2d_hidden=32)
+net = BoundaryNet(np.random.default_rng(0), cfg)
+features = T.constant(np.random.default_rng(1).standard_normal((32, 32)))
+for i in range(5):
+    if i == 1:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with T.Tape() as tape:
+        tape.backward(T.mean(net(features).actionness), net.parameters())
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_passes_reuse_freed_memory():
+    # A desk-sized pass frees about 10 MiB of temporaries: mapped afresh for
+    # every pass they cost some 1,750 page faults, reused a few dozen. A fresh
+    # interpreter keeps earlier tests' frees from moving glibc's thresholds.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", _PASS_FAULTS], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert float(run.stdout) < 400

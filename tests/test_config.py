@@ -15,7 +15,7 @@ from tapgkit.config import (
     parse_threshold_list,
     write_default_config,
 )
-from tapgkit.errors import ConfigError
+from tapgkit.errors import ConfigError, ShapeError
 from tapgkit.inference import HardSuppressionConfig, SoftSuppressionConfig
 
 
@@ -210,6 +210,12 @@ learning_rate = 0.01
         path = tmp_path / "run.ini"
         path.write_text("[representation]\nuse_actors = maybe\n")
         with pytest.raises(ConfigError):
+            load_run_config(path)
+
+    def test_report_budget_below_one_rejected(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[evaluation]\nreport_budgets = -1\n")
+        with pytest.raises(ShapeError, match="report_budgets"):
             load_run_config(path)
 
     def test_missing_file(self, tmp_path):

@@ -212,6 +212,9 @@ class TestRecallCurve:
             EvalConfig(tious=(0.5, 1.5)).validate()
         with pytest.raises(ShapeError):
             EvalConfig(max_budget=0).validate()
+        for budgets in ((0,), (-1, 5)):
+            with pytest.raises(ShapeError):
+                EvalConfig(report_budgets=budgets).validate()
 
 
 class TestCurveArea:
