@@ -27,21 +27,30 @@ class Adam:
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in params]
-        self._v = [np.zeros_like(p.data) for p in params]
+        # gradient, m and v as flat rows; _m and _v are per-parameter views of theirs
+        self._bounds = np.cumsum([0] + [p.data.size for p in params])
+        dtype = np.result_type(*(p.data.dtype for p in params))
+        self._flat = np.zeros((3, self._bounds[-1]), dtype=dtype)
+        self._m, self._v = self._views(self._flat[1]), self._views(self._flat[2])
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[a:b].reshape(p.data.shape)
+                for p, a, b in zip(self.params, self._bounds[:-1], self._bounds[1:])]
 
     def step(self) -> None:
+        """One update of every parameter; a missing gradient counts as zero."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if g is None:
-                continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / c1
-            v_hat = v / c2
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+        g, m, v = self._flat
+        np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1)
+                        for p in self.params], out=g)
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        m_hat = m / c1
+        v_hat = v / c2
+        upd = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, step in zip(self.params, self._views(upd)):
+            p.data -= step

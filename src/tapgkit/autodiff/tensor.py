@@ -245,8 +245,11 @@ def _from_op(data: np.ndarray, inputs: Sequence[Tensor], fn) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            # a copy, never g itself: a backward may hand one array to two inputs
+            t.grad = np.empty_like(t.data)
+            np.copyto(t.grad, g)
+        else:
+            t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -579,52 +582,61 @@ def _conv_nd(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, ra
         raise ShapeError("conv bias extent must equal the filter count")
     stride = _tupleize(stride, rank)
     padding = _tupleize(padding, rank)
+    if min(stride) < 1:
+        raise ShapeError(f"conv{rank}d stride must be >= 1, got {stride}")
+    if min(padding) < 0:
+        raise ShapeError(f"conv{rank}d padding must be >= 0, got {padding}")
     kernel = weight.data.shape[2:]
     spatial = x.data.shape[1:]
-    out_spatial = []
-    for ext, k, s, p in zip(spatial, kernel, stride, padding):
-        o = (ext + 2 * p - k) // s + 1
-        if o <= 0:
-            raise ShapeError(f"conv{rank}d output extent {o} <= 0 for input {spatial}, kernel {kernel}")
-        out_spatial.append(o)
+    padded = tuple(e + 2 * p for e, p in zip(spatial, padding))
+    full = tuple(e - k + 1 for e, k in zip(padded, kernel))  # stride-1 output extents
+    if min(full) <= 0:
+        raise ShapeError(f"conv{rank}d output extent <= 0 for input {spatial}, kernel {kernel}")
 
-    pad_spec = [(0, 0)] + [(p, p) for p in padding]
-    xp = np.pad(x.data, pad_spec) if any(padding) else x.data
-
-    # im2col: windows has shape (c_in, *out_spatial, *kernel) after striding
-    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=tuple(range(1, rank + 1)))
-    stride_idx = tuple(slice(None, None, s) for s in stride)
-    windows = windows[(slice(None),) + stride_idx]
-    cols = windows.reshape(c_in, int(np.prod(out_spatial)), int(np.prod(kernel)))
-    cols = np.moveaxis(cols, 1, 0).reshape(int(np.prod(out_spatial)), -1)  # (P, c_in*k)
-    wmat = weight.data.reshape(c_out, -1)
-    out = cols @ wmat.T  # (P, c_out)
+    # Stride-1 correlation over the flat padded input: kernel offset k reads
+    # output position o at o + shift(k), one matmul over a contiguous slice.
+    # Output rows keep the padded row length; the junk columns are cropped and
+    # the strided positions picked after. A spare zero row covers the overrun.
+    steps = np.cumprod((1,) + padded[:0:-1])[::-1]
+    shifts = [int(np.dot(k, steps)) for k in np.ndindex(*kernel)]
+    span = full[0] * int(steps[0])
+    spare = int(shifts[-1] + span > np.prod(padded))
+    interior = (slice(None),) + tuple(slice(p, p + e) for p, e in zip(padding, spatial))
+    if any(padding) or spare:
+        xp = np.zeros((c_in, padded[0] + spare) + padded[1:], dtype=x.data.dtype)
+        xp[interior] = x.data
+    else:
+        xp = x.data
+    xf = xp.reshape(c_in, -1)
+    wk = np.ascontiguousarray(np.moveaxis(weight.data.reshape(c_out, c_in, -1), -1, 0))
+    of = wk[0] @ xf[:, :span]
+    for w, s in zip(wk[1:], shifts[1:]):
+        of += w @ xf[:, s:s + span]
     if bias is not None:
-        out = out + bias.data
-    out = np.moveaxis(out.reshape(*out_spatial, c_out), -1, 0)
+        of += bias.data[:, None]
+    grid = (c_out, full[0]) + padded[1:]
+    keep = (slice(None),) + tuple(slice(0, f, s) for f, s in zip(full, stride))
+    out = of.reshape(grid)[keep]
 
     def backward(g):
-        gp = np.moveaxis(g, 0, -1).reshape(-1, c_out)  # (P, c_out)
+        gf = g
+        if out.shape != grid:  # back onto the stride-1 grid, zeros in the junk
+            gf = np.zeros(grid, dtype=g.dtype)
+            gf[keep] = g
+        gf = gf.reshape(c_out, span)
         if weight.requires_grad:
-            _accum(weight, (gp.T @ cols).reshape(weight.data.shape))
+            dw = np.stack([gf @ xf[:, s:s + span].T for s in shifts], axis=-1)
+            _accum(weight, dw.reshape(weight.data.shape))
         if bias is not None:
-            _accum(bias, gp.sum(axis=0))
+            _accum(bias, gf.sum(axis=1))
         if x.requires_grad:
-            gcols = gp @ wmat  # (P, c_in*k)
-            gcols = gcols.reshape(*out_spatial, c_in, *kernel)
-            gx = np.zeros_like(xp)
-            # scatter one kernel offset at a time; kernels are small
-            for offset in np.ndindex(*kernel):
-                block = gcols[(Ellipsis, slice(None)) + offset]  # (*out_spatial, c_in)
-                block = np.moveaxis(block, -1, 0)
-                target = tuple(
-                    slice(o, o + s * e, s) for o, s, e in zip(offset, stride, out_spatial)
-                )
-                gx[(slice(None),) + target] += block
-            if any(padding):
-                trim = tuple(slice(p, p + e) for p, e in zip(padding, spatial))
-                gx = gx[(slice(None),) + trim]
-            _accum(x, gx)
+            if len(shifts) == 1:
+                dx = wk[0].T @ gf
+            else:
+                dx = np.zeros_like(xf)
+                for w, s in zip(wk, shifts):
+                    dx[:, s:s + span] += w.T @ gf
+            _accum(x, dx.reshape(xp.shape)[interior])
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _from_op(out, inputs, backward)

@@ -69,3 +69,45 @@ class TestAdam:
     def test_empty_parameter_list_rejected(self):
         with pytest.raises(EmptyInputError):
             Adam([], lr=0.1)
+
+
+def _loop_adam(params, grads_per_step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-parameter Adam loop, as written before the flat update."""
+    data = [p.copy() for p in params]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for p, m, v, g in zip(data, ms, vs, grads):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p -= (lr * (m / c1) / (np.sqrt(v / c2) + eps)).astype(p.dtype)
+    return data, ms, vs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_step_equals_per_parameter_loop(dtype):
+    rng = np.random.default_rng(5)
+    shapes = [(4, 3), (7,), (2, 1, 3), (5,)]
+    with T.default_dtype(dtype):
+        params = [T.parameter(rng.standard_normal(s)) for s in shapes]
+        start = [p.data.copy() for p in params]
+        grads_per_step = [
+            [(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
+             for s in shapes]
+            for _ in range(5)]
+        for grads in grads_per_step:
+            grads[3][...] = 0.0   # one parameter never gets a gradient
+        opt = Adam(params, lr=0.01)
+        for grads in grads_per_step:
+            for p, g in zip(params, grads):
+                p.grad[...] = g
+            opt.step()
+    data, ms, vs = _loop_adam(start, grads_per_step, lr=0.01)
+    for p, want, m, want_m, v, want_v in zip(params, data, opt._m, ms, opt._v, vs):
+        assert p.data.dtype == m.dtype == v.dtype == np.dtype(dtype)
+        assert np.array_equal(p.data, want)
+        assert np.array_equal(m, want_m) and np.array_equal(v, want_v)
+    assert np.array_equal(params[3].data, start[3])

@@ -261,6 +261,97 @@ class TestConvForward:
         with pytest.raises(ShapeError):
             T.conv1d(Tensor(np.ones((3, 5))), Tensor(np.ones((2, 4, 3))))
 
+    @pytest.mark.parametrize("stride", [0, -1, (1, 0)])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ShapeError, match="stride must be"):
+            T.conv2d(Tensor(np.ones((2, 5, 5))), Tensor(np.ones((3, 2, 3, 3))), stride=stride)
+
+    @pytest.mark.parametrize("padding", [-1, (0, -1)])
+    def test_negative_padding_rejected(self, padding):
+        with pytest.raises(ShapeError, match="padding must be"):
+            T.conv2d(Tensor(np.ones((2, 5, 5))), Tensor(np.ones((3, 2, 3, 3))), padding=padding)
+
+
+def _im2col_conv(x, w, b, stride, padding):
+    """The sliding-window im2col convolution the shifted-product core replaced.
+
+    Returns the output and a function mapping an output gradient to the
+    (x, w, b) gradients, with the per-offset scatter for x.
+    """
+    rank = x.ndim - 1
+    stride = (stride,) * rank if isinstance(stride, int) else tuple(stride)
+    padding = (padding,) * rank if isinstance(padding, int) else tuple(padding)
+    c_in, c_out = x.shape[0], w.shape[0]
+    kernel, spatial = w.shape[2:], x.shape[1:]
+    out_spatial = [(e + 2 * p - k) // s + 1
+                   for e, k, s, p in zip(spatial, kernel, stride, padding)]
+    xp = np.pad(x, [(0, 0)] + [(p, p) for p in padding])
+    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=tuple(range(1, rank + 1)))
+    windows = windows[(slice(None),) + tuple(slice(None, None, s) for s in stride)]
+    cols = windows.reshape(c_in, int(np.prod(out_spatial)), int(np.prod(kernel)))
+    cols = np.moveaxis(cols, 1, 0).reshape(int(np.prod(out_spatial)), -1)
+    wmat = w.reshape(c_out, -1)
+    out = cols @ wmat.T + (0.0 if b is None else b)
+    out = np.moveaxis(out.reshape(*out_spatial, c_out), -1, 0)
+
+    def grads(g):
+        gp = np.moveaxis(g, 0, -1).reshape(-1, c_out)
+        gcols = (gp @ wmat).reshape(*out_spatial, c_in, *kernel)
+        gx = np.zeros_like(xp)
+        for offset in np.ndindex(*kernel):
+            block = np.moveaxis(gcols[(Ellipsis, slice(None)) + offset], -1, 0)
+            target = tuple(slice(o, o + s * e, s) for o, s, e in zip(offset, stride, out_spatial))
+            gx[(slice(None),) + target] += block
+        gx = gx[(slice(None),) + tuple(slice(p, p + e) for p, e in zip(padding, spatial))]
+        return gx, (gp.T @ cols).reshape(w.shape), gp.sum(axis=0)
+
+    return out, grads
+
+
+class TestConvAgainstIm2col:
+    """The shifted-product core sums in another order than im2col, so it is
+    held to the old formulation in float64 at a tolerance no reordering of
+    these sums exceeds, and far below what finite differences can resolve."""
+
+    CASES = [
+        # (x shape, w shape, stride, padding)
+        ((3, 9), (4, 3, 3), 1, 1),
+        ((3, 9), (4, 3, 3), 2, 0),
+        ((5, 8), (4, 5, 1), 1, 0),                  # one product, no copy
+        ((2, 7, 6), (3, 2, 3, 3), 1, 1),
+        ((2, 7, 6), (3, 2, 3, 2), 2, 1),
+        ((2, 7, 6), (3, 2, 3, 2), (2, 1), (0, 1)),
+        ((2, 7, 6), (3, 2, 3, 2), 1, 0),            # runs into the spare row
+        ((6, 5, 4), (3, 6, 1, 1), 1, 0),            # one product, no copy
+        ((6, 5, 4), (3, 6, 1, 1), 2, 1),
+        ((2, 8, 3, 4), (3, 2, 4, 1, 1), (4, 1, 1), 0),
+        ((2, 5, 4, 3), (2, 2, 3, 2, 3), 1, 1),
+        ((2, 5, 4, 3), (2, 2, 3, 3, 3), 2, 0),
+    ]
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("xs,ws,stride,padding", CASES)
+    def test_output_and_gradients(self, xs, ws, stride, padding, bias):
+        rng = np.random.default_rng(sum(xs) + sum(ws))
+        x_np, w_np = rng.standard_normal(xs), rng.standard_normal(ws)
+        b_np = rng.standard_normal(ws[0]) if bias else None
+        op = {1: T.conv1d, 2: T.conv2d, 3: T.conv3d}[len(xs) - 1]
+        ref, ref_grads = _im2col_conv(x_np, w_np, b_np, stride, padding)
+        g = rng.standard_normal(ref.shape)
+        with T.default_dtype(np.float64):
+            x, w = T.parameter(x_np), T.parameter(w_np)
+            b = T.parameter(b_np) if bias else None
+            with Tape() as tape:
+                out = op(x, w, b, stride=stride, padding=padding)
+                tape.backward(T.sum_(T.mul(out, T.constant(g))))
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out.data, ref, rtol=1e-10, atol=1e-10)
+        gx, gw, gb = ref_grads(g)
+        np.testing.assert_allclose(x.grad, gx, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(w.grad, gw, rtol=1e-10, atol=1e-10)
+        if bias:
+            np.testing.assert_allclose(b.grad, gb, rtol=1e-10, atol=1e-10)
+
 
 class TestOpGradients:
     """Every primitive against central differences, several seeds each."""

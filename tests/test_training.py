@@ -20,6 +20,7 @@ from tapgkit.model import ProposalModel
 from tapgkit.representation import RepresentationConfig
 from tapgkit.training import (
     TrainConfig,
+    _moments,
     boundary_labels,
     grid_labels,
     load_training_state,
@@ -324,6 +325,15 @@ class TestCheckpointResume:
         reports = train(model, corpus.features, corpus.annotations,
                         TrainConfig(epochs=4, seed=9), start_epoch=start)
         assert [r.epoch for r in reports] == [2, 3]
+
+    def test_moment_entries_follow_parameter_order(self):
+        _, model = _tiny_setup(seed=7)
+        params = model.parameters()
+        named = _moments(Adam(params))
+        assert list(named) == [f"optim.{k}.{i}" for i in range(len(params)) for k in "mv"]
+        for i, p in enumerate(params):
+            assert named[f"optim.m.{i}"].shape == named[f"optim.v.{i}"].shape == p.data.shape
+            assert named[f"optim.m.{i}"].dtype == p.data.dtype
 
     def test_mismatched_optimizer_state_rejected(self, tmp_path):
         _, model = _tiny_setup(seed=7)
