@@ -11,13 +11,25 @@ the norms are softmax-normalized across rows. Because softmax scores over M
 rows sum to one, the maximum is always >= 1/M, so at least one row survives
 selection whenever M >= 1.
 
-The kept/dropped decision is treated as a constant during backprop: gradients
-flow into the selected original rows through the fusion encoder, and the
-scoring MLPs sit on a dead branch. Two reference baselines share the scoring
-path: ``soft`` skips selection and returns the score-weighted sum of all rows
-(scores do receive gradient there), ``hard`` returns the single best row.
+Two reference baselines share the scoring path: ``soft`` skips selection and
+returns the score-weighted sum of all rows, ``hard`` returns the single best
+row. Only the tensors a loss can reach in the chosen mode are parameters;
+the module draws every tensor in every mode, so checkpoint names and init
+draws do not depend on the mode, and keeps the rest as fixed state:
 
-With M == 0 the module returns a learned default vector instead.
+- ``adaptive``: the keep/drop threshold is a step function, so no gradient
+  reaches the scoring MLPs; they are fixed, and gradients flow into the
+  selected rows through the fusion encoder, which trains;
+- ``soft``: the scores weight the output, so the scoring MLPs train; the
+  encoder is never called and is fixed;
+- ``hard``: the argmax is a step function and the encoder is never called,
+  so both are fixed.
+
+With fixed scorer weights and constant inputs, scoring records nothing on
+the tape.
+
+With M == 0 the module returns a learned default vector instead; it trains
+in every mode.
 
 One call handles the T snippets of a whole video at once. The rows of all
 snippets arrive packed as one (R, d) tensor, snippet after snippet, with
@@ -85,6 +97,13 @@ class AdaptiveAttention(Module):
         self.encoder = SelfAttentionEncoder(rng, candidate_dim)
         self.default_output = T.parameter(np.zeros(candidate_dim))
         self.mode = mode
+        trained = {"adaptive": (self.encoder,),
+                   "soft": (self.candidate_embed, self.context_embed),
+                   "hard": ()}[mode]
+        for part in (self.candidate_embed, self.context_embed, self.encoder):
+            if part not in trained:
+                for t in part.parameters():
+                    t.requires_grad, t.grad = False, None
         self._candidate_dim = candidate_dim
         self._context_dim = context_dim
 

@@ -1,7 +1,7 @@
 """Parameterized building blocks on top of the tensor ops.
 
-Modules own named parameters and compose; ``named_parameters`` walks the
-attribute tree with dotted paths, which is also the checkpoint naming scheme.
+Modules own named tensors and compose; ``named_state`` walks the attribute
+tree with dotted paths, which is also the checkpoint naming scheme.
 Weights use Glorot-uniform init from an explicit ``numpy.random.Generator`` so
 runs are reproducible end to end.
 """
@@ -23,20 +23,32 @@ MASKED_LOGIT = -1e30
 
 
 class Module:
-    """Base class: parameter discovery, gradient reset, flat state access."""
+    """Base class: state discovery, gradient reset, flat state access.
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    A module's state is every public ``Tensor`` attribute, found recursively
+    through sub-modules and lists of them; attributes whose name starts with
+    ``_`` (caches, precomputed constants) are not state. State splits in two:
+    parameters (``requires_grad``) are what a loss trains and an optimizer
+    steps; fixed state is drawn and checkpointed the same way but never
+    trained. ``state_dict`` and ``load_state_dict`` cover both, in one order.
+    """
+
+    def named_state(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for name, value in vars(self).items():
+            if name.startswith("_"):
+                continue
             path = f"{prefix}{name}"
             if isinstance(value, Tensor):
-                if value.requires_grad:
-                    yield path, value
+                yield path, value
             elif isinstance(value, Module):
-                yield from value.named_parameters(f"{path}.")
+                yield from value.named_state(f"{path}.")
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item.named_parameters(f"{path}.{i}.")
+                        yield from item.named_state(f"{path}.{i}.")
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        return ((name, t) for name, t in self.named_state(prefix) if t.requires_grad)
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -46,20 +58,20 @@ class Module:
             p.zero_grad()
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
+        return {name: t.data.copy() for name, t in self.named_state()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
+        own = dict(self.named_state())
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
         if missing or extra:
             raise ShapeError(f"state mismatch: missing {missing}, unexpected {extra}")
-        for name, p in own.items():
-            arr = np.asarray(state[name], dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
-                raise ShapeError(f"parameter {name}: stored {arr.shape} != model {p.data.shape}")
-            p.data = arr.copy()
-            p.zero_grad()
+        for name, t in own.items():
+            arr = np.asarray(state[name], dtype=t.data.dtype)
+            if arr.shape != t.data.shape:
+                raise ShapeError(f"state {name}: stored {arr.shape} != model {t.data.shape}")
+            t.data = arr.copy()
+            t.zero_grad()
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:

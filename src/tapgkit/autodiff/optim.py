@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tapgkit.errors import EmptyInputError
+from tapgkit.errors import EmptyInputError, GraphError
 from tapgkit.autodiff.tensor import Tensor
 
 
@@ -22,6 +22,9 @@ class Adam:
         params = list(params)
         if not params:
             raise EmptyInputError("optimizer needs at least one parameter")
+        fixed = [i for i, p in enumerate(params) if not p.requires_grad]
+        if fixed:
+            raise GraphError(f"optimizer given tensors without requires_grad at {fixed}")
         self.params = params
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
@@ -38,13 +41,12 @@ class Adam:
                 for p, a, b in zip(self.params, self._bounds[:-1], self._bounds[1:])]
 
     def step(self) -> None:
-        """One update of every parameter; a missing gradient counts as zero."""
+        """One update of every parameter from its current gradient."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         g, m, v = self._flat
-        np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1)
-                        for p in self.params], out=g)
+        np.concatenate([p.grad.reshape(-1) for p in self.params], out=g)
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2

@@ -199,12 +199,15 @@ def _cmd_train(args) -> int:
                         log_stream=stream, optimizer=optimizer, start_epoch=start_epoch,
                         on_epoch=checkpoint_epoch)
     final = reports[-1].mean_total if reports else float("nan")
+    trainable = sum(p.size for p in model.parameters())
     manifest = describe(cfg)
     manifest["run"] = {
         "data": str(data_root),
         "videos": len(features),
         "epochs_completed": start_epoch + len(reports),
         "final_mean_loss": final,
+        "trainable_parameters": trainable,
+        "fixed_parameters": sum(t.size for _, t in model.named_state()) - trainable,
     }
     write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2))
     print(json.dumps({"command": "train", "epochs": len(reports),

@@ -155,10 +155,13 @@ class _Section:
                 return False
             raise ConfigError(f"{context} = {raw!r} is not a boolean")
         try:
-            return float(raw) if kind is float else int(raw)
+            value = float(raw) if kind is float else int(raw)
         except ValueError:
             noun = "a number" if kind is float else "an integer"
             raise ConfigError(f"{context} = {raw!r} is not {noun}") from None
+        if not np.isfinite(value):
+            raise ConfigError(f"{context} = {raw!r} is not a finite number")
+        return value
 
     def check_consumed(self) -> None:
         unknown = sorted(set(self._items) - self._seen)

@@ -116,10 +116,12 @@ class TestGradientRouting:
             with Tape() as tape:
                 fused, _ = module(cands, ctx)
                 tape.backward(scalarize(fused))
-            for name, p in module.named_parameters():
-                flat = np.abs(p.grad).sum()
-                if name.startswith(("candidate_embed", "context_embed")):
-                    assert flat == 0.0, f"{name} should sit on a dead branch"
+            # no loss reaches the scorer through the threshold: it is fixed state
+            scorer = [(name, t) for name, t in module.named_state()
+                      if name.startswith(("candidate_embed", "context_embed"))]
+            assert len(scorer) == 8
+            for name, t in scorer:
+                assert not t.requires_grad and t.grad is None, name
             encoder_total = sum(
                 np.abs(p.grad).sum()
                 for name, p in module.named_parameters() if name.startswith("encoder")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tapgkit.autodiff.checkpoint import load_checkpoint
 from tapgkit.cli import main
 
 
@@ -104,6 +105,15 @@ class TestTrainCommand:
         assert manifest["run"]["epochs_completed"] == 2
         assert manifest["run"]["videos"] == 4
         assert manifest["training"]["epochs"] == 2
+
+    def test_manifest_counts_trainable_and_fixed_entries(self, run_dir):
+        run = json.loads((run_dir / "manifest.json").read_text())["run"]
+        state = load_checkpoint(run_dir / "checkpoint.tapg")
+        model = sum(v.size for k, v in state.items() if not k.startswith(("optim.", "meta.")))
+        moments = sum(v.size for k, v in state.items() if k.startswith("optim.m."))
+        # the adaptive scorers: per stream, two [8, 16, 16] MLPs with biases
+        assert run["fixed_parameters"] == 2 * 2 * (8 * 16 + 16 + 16 * 16 + 16)
+        assert run["trainable_parameters"] == moments == model - run["fixed_parameters"]
 
     def test_resume_continues(self, small_ini, corpus_dir, run_dir, tmp_path):
         out = tmp_path / "resumed"

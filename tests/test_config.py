@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,21 @@ from tapgkit.config import (
 )
 from tapgkit.errors import ConfigError, ShapeError
 from tapgkit.inference import HardSuppressionConfig, SoftSuppressionConfig
+
+
+def _float_keys():
+    """(section, extra lines, key) for every ``float`` field an INI file can set."""
+    run = RunConfig()
+    sections = [("synthetic", "", run.synthetic), ("representation", "", run.representation),
+                ("boundary_net", "", run.boundary), ("training", "", run.training),
+                ("evaluation", "", run.evaluation),
+                ("inference", "mode = soft\n", SoftSuppressionConfig(sigma=0.4)),
+                ("inference", "mode = hard\n", HardSuppressionConfig(threshold=0.45))]
+    for section, extra, base in sections:
+        hints = typing.get_type_hints(type(base))
+        for f in dataclasses.fields(base):
+            if hints[f.name] is float:
+                yield section, extra, f.name
 
 
 EVERY_KEY = """
@@ -217,6 +233,16 @@ learning_rate = 0.01
         path.write_text("[evaluation]\nreport_budgets = -1\n")
         with pytest.raises(ShapeError, match="report_budgets"):
             load_run_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, tmp_path, value):
+        keys = list(_float_keys())
+        assert {s for s, _, _ in keys} == {"synthetic", "training", "inference"}
+        path = tmp_path / "run.ini"
+        for section, extra, key in keys:
+            path.write_text(f"[{section}]\n{extra}{key} = {value}\n")
+            with pytest.raises(ConfigError, match="not a finite number"):
+                load_run_config(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -6,7 +6,7 @@ import pytest
 from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.optim import Adam
 from tapgkit.autodiff.tensor import Tape
-from tapgkit.errors import EmptyInputError
+from tapgkit.errors import EmptyInputError, GraphError
 
 
 class TestAdam:
@@ -69,6 +69,12 @@ class TestAdam:
     def test_empty_parameter_list_rejected(self):
         with pytest.raises(EmptyInputError):
             Adam([], lr=0.1)
+
+    def test_fixed_tensor_rejected(self):
+        x = T.parameter(np.array([1.0]))
+        fixed = T.constant(np.array([2.0]))
+        with pytest.raises(GraphError, match=r"requires_grad at \[1\]"):
+            Adam([x, fixed], lr=0.1)
 
 
 def _loop_adam(params, grads_per_step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):

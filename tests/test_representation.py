@@ -108,9 +108,11 @@ class TestGradients:
         with Tape() as tape:
             out = model.snippet(bundle)
             tape.backward(scalarize(out))
-        for name, p in model.named_parameters():
-            if ".candidate_embed" in name or ".context_embed" in name:
-                assert np.abs(p.grad).sum() == 0.0, name
+        scorer = [(name, t) for name, t in model.named_state()
+                  if ".candidate_embed" in name or ".context_embed" in name]
+        assert len(scorer) == 16
+        for name, t in scorer:
+            assert not t.requires_grad and t.grad is None, name
 
 
 # -- loop oracle: the per-snippet composition, restated with 2-D ops ----------
