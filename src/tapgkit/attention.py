@@ -26,7 +26,8 @@ draws do not depend on the mode, and keeps the rest as fixed state:
   so both are fixed.
 
 With fixed scorer weights and constant inputs, scoring records nothing on
-the tape.
+the tape. A caller that feeds a constant zero context freezes
+``context_embed`` too (see ``representation``).
 
 With M == 0 the module returns a learned default vector instead; it trains
 in every mode.
@@ -102,8 +103,7 @@ class AdaptiveAttention(Module):
                    "hard": ()}[mode]
         for part in (self.candidate_embed, self.context_embed, self.encoder):
             if part not in trained:
-                for t in part.parameters():
-                    t.requires_grad, t.grad = False, None
+                part.freeze()
         self._candidate_dim = candidate_dim
         self._context_dim = context_dim
 

@@ -57,6 +57,11 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    def freeze(self) -> None:
+        """Turn every state tensor into fixed state: kept, never trained."""
+        for _, t in self.named_state():
+            t.requires_grad, t.grad = False, None
+
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_state()}
 

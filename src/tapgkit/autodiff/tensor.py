@@ -134,7 +134,7 @@ class Tensor:
         return neg(self)
 
     def __matmul__(self, other):
-        return matmul(self, other)
+        return matmul(self, _as_tensor(other))
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -230,6 +230,9 @@ def parameter(data) -> Tensor:
 
 def _from_op(data: np.ndarray, inputs: Sequence[Tensor], fn) -> Tensor:
     """Wrap an op result; record it when a tape is live and an input is tracked."""
+    for t in inputs:
+        if not isinstance(t, Tensor):
+            raise GraphError(f"op input must be a Tensor, got {type(t).__name__}")
     tape = _active_tape()
     tracked = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
@@ -238,7 +241,7 @@ def _from_op(data: np.ndarray, inputs: Sequence[Tensor], fn) -> Tensor:
     out.grad = None
     out._tape = None
     if tracked:
-        tape.record(out, [t for t in inputs if isinstance(t, Tensor)], fn)
+        tape.record(out, inputs, fn)
     return out
 
 

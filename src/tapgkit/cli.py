@@ -108,6 +108,11 @@ def _load_corpus(data_root: Path) -> tuple[dict[str, VideoAnnotation],
         if seq.snippet_stride != first.snippet_stride:
             raise ConfigError(f"{vid}: snippet stride differs from the rest "
                               f"of the corpus")
+        # labels map seconds to snippets through frame_count, decoding maps
+        # them back through the stride; the two agree only on one time axis
+        if annotations[vid].frame_count != seq.num_snippets * seq.snippet_stride:
+            raise ConfigError(f"{vid}: frame_count {annotations[vid].frame_count} != "
+                              f"{seq.num_snippets} snippets x stride {seq.snippet_stride}")
     return annotations, features
 
 

@@ -197,7 +197,7 @@ def _int_list(text: str, context: str) -> tuple[int, ...]:
 # INI section -> (RunConfig field, fields the file may not set). Sections are
 # read in this order, after [data]; the model's input widths come from the data.
 _SECTIONS = {
-    "synthetic": ("synthetic", ("env_overhang",)),
+    "synthetic": ("synthetic", ()),
     "representation": ("representation", ("env_dim", "actor_dim", "object_dim")),
     "boundary_net": ("boundary", ()),
     "training": ("training", ()),

@@ -8,9 +8,10 @@ which means the proposal grid contains a cell with overlap 1.0 for each one.
 Class signal is planted in all three streams, but only two of them are
 boundary-exact: the first actor row is boosted and the object rows are picked
 from a small embedded vocabulary by the real selector on exactly the action
-snippets. The environment bump overshoots the action by a random 0..overhang
-snippets on each side, so the environment stream alone cannot localize
-boundaries precisely; resolving the overhang requires the other streams.
+snippets. The environment bump overshoots the action by a random
+0..ENV_OVERHANG snippets on each side, so the environment stream alone cannot
+localize boundaries precisely; resolving the overhang requires the other
+streams.
 Background snippets are pure noise and may have zero actors.
 """
 
@@ -36,6 +37,7 @@ from tapgkit.errors import ConfigError
 from tapgkit.object_vocab import EmbeddedFrame, EmbeddedVocabulary, save_vocabulary
 
 CLASS_WORDS = ("swing", "lift", "throw", "kick", "spin", "fold", "pour", "wave")
+ENV_OVERHANG = 1
 
 
 @dataclass
@@ -55,7 +57,6 @@ class SyntheticConfig:
     max_actions_per_video: int = 2
     signal: float = 3.0
     noise: float = 0.25
-    env_overhang: int = 1
     seed: int = 0
 
     def validate(self) -> None:
@@ -75,8 +76,6 @@ class SyntheticConfig:
             raise ConfigError("max_actors and objects_per_snippet must be at least 1")
         if self.signal <= 0 or self.noise < 0:
             raise ConfigError("signal must be positive and noise non-negative")
-        if self.env_overhang < 0:
-            raise ConfigError("env_overhang must be non-negative")
 
 
 @dataclass
@@ -160,8 +159,8 @@ def generate_corpus(cfg: SyntheticConfig) -> SyntheticCorpus:
         # its edges do not betray the exact boundaries
         env_spans = []
         for (s, e), c in zip(spans, classes):
-            lo = s - int(rng.integers(0, cfg.env_overhang + 1))
-            hi = e + int(rng.integers(0, cfg.env_overhang + 1))
+            lo = s - int(rng.integers(0, ENV_OVERHANG + 1))
+            hi = e + int(rng.integers(0, ENV_OVERHANG + 1))
             env_spans.append((max(lo, 0), min(hi, cfg.num_snippets), c))
 
         snippets = []

@@ -46,12 +46,7 @@ class Proposal:
 def local_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of non-strict local maxima; endpoints use one-sided tests."""
     values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    keep = np.ones(n, dtype=bool)
+    keep = np.ones(values.size, dtype=bool)
     keep[1:] &= values[1:] >= values[:-1]
     keep[:-1] &= values[:-1] >= values[1:]
     return np.flatnonzero(keep).astype(np.int64)

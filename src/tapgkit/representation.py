@@ -20,6 +20,15 @@ Streams can be disabled independently for ablations. Adaptive and hard
 attention need the environment vector as scoring context, so disabling the
 environment stream forces the soft attention baseline (scored against a zero
 context).
+
+An ablation keeps as fixed state what no loss can reach in it, on top of the
+attention modes' own rule; names and init draws do not change:
+
+- without the environment, each attention's ``context_embed`` sees only the
+  zero context through zero-init biases, so its output and its gradient are
+  exactly zero;
+- with one stream, the interaction encoder's softmax runs over a single row
+  and is exactly 1, so its ``query`` and ``key`` never matter.
 """
 
 from __future__ import annotations
@@ -79,6 +88,13 @@ class SnippetRepresentation(Module):
         self.object_proj = Linear(rng, cfg.object_dim, d_f) if cfg.use_objects else None
         self.env_proj = Linear(rng, cfg.env_dim, d_f) if cfg.use_environment else None
         self.interaction = SelfAttentionEncoder(rng, d_f)
+        if not cfg.use_environment:
+            for attention in (self.actor_attention, self.object_attention):
+                if attention is not None:
+                    attention.context_embed.freeze()
+        if cfg.use_environment + cfg.use_actors + cfg.use_objects == 1:
+            self.interaction.query.freeze()
+            self.interaction.key.freeze()
 
     def _encode(self, environment: np.ndarray, actors: list[np.ndarray],
                 objects: list[np.ndarray]) -> tuple[Tensor, dict[str, SelectionInfo]]:

@@ -1,6 +1,7 @@
 """Command-line entry points, exercised end to end in a temp directory."""
 
 import json
+import shutil
 
 import pytest
 
@@ -238,6 +239,25 @@ class TestFailureModes:
                      "--out", str(tmp_path / "p.json")])
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["error"]
+
+    def test_frame_count_off_the_snippet_axis(self, small_ini, corpus_dir, run_dir,
+                                              tmp_path, capsys):
+        data = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, data)
+        path = data / "annotations.json"
+        raw = json.loads(path.read_text())
+        vid = sorted(raw)[1]
+        raw[vid]["frame_count"] += 8
+        raw[vid]["duration"] = raw[vid]["frame_count"] / raw[vid]["fps"]
+        path.write_text(json.dumps(raw))
+        for command in (["train", "--out", str(tmp_path / "run")],
+                        ["infer", "--checkpoint", str(run_dir / "checkpoint.tapg"),
+                         "--out", str(tmp_path / "p.json")]):
+            code = main([command[0], "--config", str(small_ini), "--data", str(data),
+                         *command[1:]])
+            assert code == 2
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "ConfigError" and vid in err["message"]
 
     def test_unknown_preset(self, small_ini, corpus_dir, run_dir, tmp_path, capsys):
         code = main(["infer", "--config", str(small_ini),

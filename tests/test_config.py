@@ -173,7 +173,7 @@ learning_rate = 0.01
                 assert getattr(getattr(default, attr), key) != value, (attr, key)
                 assert getattr(getattr(cfg, attr), key) == value, (attr, key)
         # a field added to a section's dataclass must be added to EVERY_KEY too
-        for attr, fixed in (("synthetic", {"env_overhang"}),
+        for attr, fixed in (("synthetic", set()),
                             ("representation", {"env_dim", "actor_dim", "object_dim"}),
                             ("boundary", set()), ("training", set()),
                             ("suppression", set()), ("evaluation", set())):

@@ -1,6 +1,7 @@
 """Parameters versus fixed state: only tensors a loss can reach are trained."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -39,12 +40,17 @@ TRAINED_IN = {
 }
 
 
-def _default_model(num_videos=1):
+# (use_environment, use_actors, use_objects): every non-empty stream subset
+STREAMS = [s for s in itertools.product((True, False), repeat=3) if any(s)]
+
+
+def _default_model(num_videos=1, **representation):
     run = RunConfig()
     syn = dataclasses.replace(run.synthetic, num_videos=num_videos)
     corpus = generate_corpus(syn)
     rep = dataclasses.replace(run.representation, env_dim=syn.env_dim,
-                              actor_dim=syn.actor_dim, object_dim=syn.object_dim)
+                              actor_dim=syn.actor_dim, object_dim=syn.object_dim,
+                              **representation)
     net = run.boundary.build(rep.feature_dim, syn.num_snippets)
     return corpus, ProposalModel(np.random.default_rng(0), rep, net)
 
@@ -103,8 +109,13 @@ def test_fixed_state_survives_training_and_loading():
         assert b.grad is None if name in fixed else not np.any(b.grad), name
 
 
-def test_every_parameter_gets_a_gradient_on_a_default_step():
-    corpus, model = _default_model()
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("streams", STREAMS, ids=lambda s: "+".join(
+    name for name, on in zip(("env", "actors", "objects"), s) if on))
+def test_every_parameter_gets_a_gradient_and_fixed_state_stays(streams, mode):
+    env, actors, objects = streams
+    corpus, model = _default_model(attention_mode=mode, use_environment=env,
+                                   use_actors=actors, use_objects=objects)
     seq = next(iter(corpus.features.values()))
     snippets = list(seq.snippets)
     assert any(len(b.actors) == 0 for b in snippets)
@@ -118,3 +129,9 @@ def test_every_parameter_gets_a_gradient_on_a_default_step():
         tape.backward(loss, model.parameters())
     for name, p in model.named_parameters():
         assert np.any(p.grad != 0.0), name
+
+    fixed = {n: t.data.copy() for n, t in model.named_state() if not t.requires_grad}
+    train(model, {seq.video_id: seq}, corpus.annotations, TrainConfig(epochs=1, seed=0))
+    for name, t in model.named_state():
+        if name in fixed:
+            assert np.array_equal(t.data, fixed[name]) and t.grad is None, name

@@ -83,7 +83,10 @@ class TestLocalMaxima:
         np.testing.assert_array_equal(got, [0, 2])
 
     def test_single_point(self):
-        np.testing.assert_array_equal(local_maxima(np.array([0.4])), [0])
+        for values, expected in (([0.4], [0]), ([], [])):
+            got = local_maxima(np.array(values))
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
 
     def test_monotone_ramp(self):
         got = local_maxima(np.array([0.1, 0.2, 0.3, 0.4]))

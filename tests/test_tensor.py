@@ -106,6 +106,22 @@ class TestTapeSemantics:
         np.testing.assert_allclose(a.grad, [4.0])
         np.testing.assert_array_equal(b.grad, [0.0])
 
+    def test_matmul_operator_wraps_an_array_operand(self):
+        rng = np.random.default_rng(0)
+        w, x = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+        grads = []
+        for other in (x, T.constant(x)):
+            a = T.parameter(w)
+            with Tape() as tape:
+                tape.backward(T.sum_(a @ other))
+            grads.append(a.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+
+    def test_op_rejects_an_array_input(self):
+        a = T.parameter(np.ones(3))
+        with pytest.raises(GraphError, match="must be a Tensor"):
+            T.add(a, np.ones(3))
+
     def test_dropped_tape_is_freed_without_the_cycle_collector(self):
         a = T.parameter(np.ones(3))
         gc.disable()
