@@ -560,8 +560,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         gf = g.reshape(-1, weight.data.shape[1])
         if x.requires_grad:
             _accum(x, (gf @ weight.data.T).reshape(x.data.shape))
-        _accum(weight, flat.T @ gf)
-        if bias is not None:
+        if weight.requires_grad:
+            _accum(weight, flat.T @ gf)
+        if bias is not None and bias.requires_grad:
             _accum(bias, gf.sum(axis=0))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)

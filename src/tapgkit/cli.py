@@ -34,13 +34,13 @@ import numpy as np
 
 from tapgkit.autodiff.optim import Adam
 from tapgkit.config import (
-    DEFAULT_CONFIG,
     RunConfig,
     describe,
     load_run_config,
+    render,
     write_default_config,
 )
-from tapgkit.data.annotations import VideoAnnotation, load_annotations
+from tapgkit.data.annotations import VideoAnnotation, check_time_axis, load_annotations
 from tapgkit.data.features import VideoFeatureSequence, load_features
 from tapgkit.data.synthetic import write_corpus
 from tapgkit.errors import ConfigError, TapgkitError
@@ -108,11 +108,7 @@ def _load_corpus(data_root: Path) -> tuple[dict[str, VideoAnnotation],
         if seq.snippet_stride != first.snippet_stride:
             raise ConfigError(f"{vid}: snippet stride differs from the rest "
                               f"of the corpus")
-        # labels map seconds to snippets through frame_count, decoding maps
-        # them back through the stride; the two agree only on one time axis
-        if annotations[vid].frame_count != seq.num_snippets * seq.snippet_stride:
-            raise ConfigError(f"{vid}: frame_count {annotations[vid].frame_count} != "
-                              f"{seq.num_snippets} snippets x stride {seq.snippet_stride}")
+        check_time_axis(annotations[vid], seq)
     return annotations, features
 
 
@@ -153,7 +149,7 @@ def _cmd_config(args) -> int:
         write_default_config(args.out)
         print(json.dumps({"command": "config", "written": str(args.out)}))
     else:
-        sys.stdout.write(DEFAULT_CONFIG)
+        sys.stdout.write(render(RunConfig()))
     return 0
 
 

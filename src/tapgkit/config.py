@@ -7,6 +7,9 @@ configured here; they are read from the data at train time.
 
 Threshold lists accept either an inclusive ``start:step:stop`` range
 (``0.5:0.05:0.95``) or an explicit comma list (``0.5, 0.75``).
+
+Defaults live only in the dataclasses: the default file is
+``render(RunConfig())``, and loading with no path parses nothing.
 """
 
 from __future__ import annotations
@@ -31,60 +34,6 @@ from tapgkit.inference import (
 )
 from tapgkit.representation import RepresentationConfig
 from tapgkit.training import TrainConfig
-
-DEFAULT_CONFIG = """\
-[data]
-root = corpus
-
-[synthetic]
-num_videos = 20
-num_snippets = 32
-snippet_stride = 16
-fps = 8.0
-env_dim = 16
-actor_dim = 16
-object_dim = 16
-max_actors = 3
-objects_per_snippet = 3
-num_classes = 3
-min_action_len = 2
-max_action_len = 8
-max_actions_per_video = 2
-signal = 3.0
-noise = 0.25
-seed = 0
-
-[representation]
-feature_dim = 32
-attention_hidden = 64
-attention_mode = adaptive
-use_environment = true
-use_actors = true
-use_objects = true
-
-[boundary_net]
-num_samples = 16
-trunk_hidden = 64
-trunk_out = 32
-boundary_hidden = 64
-proposal_conv3d_out = 128
-proposal_conv2d_hidden = 32
-
-[training]
-epochs = 30
-learning_rate = 0.001
-mse_weight = 10.0
-seed = 0
-
-[inference]
-preset = anet-tapg-snms
-max_keep = 100
-
-[evaluation]
-tious = 0.5:0.05:0.95
-max_budget = 100
-report_budgets = 1, 5, 10, 100
-"""
 
 
 @dataclass
@@ -225,17 +174,16 @@ def _read_suppression(sec: _Section, default):
 
 def load_run_config(path=None) -> RunConfig:
     """Parse an INI file into a RunConfig; with no path, return the defaults."""
-    parser = configparser.ConfigParser(interpolation=None)
     if path is None:
-        parser.read_string(DEFAULT_CONFIG)
-    else:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            parser.read_string(path.read_text())
-        except configparser.Error as err:
-            raise ConfigError(f"{path}: {err}") from err
+        return RunConfig()
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(path.read_text())
+    except configparser.Error as err:
+        raise ConfigError(f"{path}: {err}") from err
 
     unknown_sections = sorted(set(parser.sections()) - {"data", *_SECTIONS})
     if unknown_sections:
@@ -264,7 +212,7 @@ def load_run_config(path=None) -> RunConfig:
 
 
 def write_default_config(path) -> None:
-    write_atomic(path, DEFAULT_CONFIG)
+    write_atomic(path, render(RunConfig()))
 
 
 def describe(cfg: RunConfig) -> dict:
@@ -275,3 +223,31 @@ def describe(cfg: RunConfig) -> dict:
     kind = "soft" if isinstance(cfg.suppression, SoftSuppressionConfig) else "hard"
     payload["inference"] = {"kind": kind, **payload["inference"]}
     return payload
+
+
+def _ini_value(value) -> str:
+    if value is None:  # a blank value keeps the default
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return str(value)
+
+
+def render(cfg: RunConfig) -> str:
+    """The INI text of ``cfg``: every key a file may set, and nothing else.
+
+    ``[inference]`` is written as ``mode = soft|hard`` and that mode's
+    explicit parameters, whichever preset they came from.
+    """
+    skips = {name: skip for name, (_, skip) in _SECTIONS.items()}
+    blocks = []
+    for name, values in describe(cfg).items():
+        lines = [f"[{name}]"]
+        for key, value in values.items():
+            if key not in skips.get(name, ()):
+                key = "mode" if (name, key) == ("inference", "kind") else key
+                lines.append(f"{key} = {_ini_value(value)}".rstrip())
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)

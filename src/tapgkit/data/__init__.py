@@ -3,6 +3,7 @@
 from tapgkit.data.annotations import (
     ActionInstance,
     VideoAnnotation,
+    check_time_axis,
     load_annotations,
     rescale_action,
     save_annotations,
@@ -24,7 +25,7 @@ from tapgkit.data.synthetic import (
 
 __all__ = [
     "ActionInstance", "SnippetBundle", "SyntheticConfig", "SyntheticCorpus",
-    "VideoAnnotation", "VideoFeatureSequence", "feature_path",
+    "VideoAnnotation", "VideoFeatureSequence", "check_time_axis", "feature_path",
     "generate_corpus", "load_annotations", "load_features",
     "load_video_features", "rescale_action", "save_annotations",
     "save_features", "write_corpus",

@@ -23,7 +23,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from tapgkit.errors import AnnotationError
+from tapgkit.data.features import VideoFeatureSequence
+from tapgkit.errors import AnnotationError, ConfigError
 
 
 @dataclass
@@ -122,3 +123,14 @@ def rescale_action(start: float, end: float, frame_count: int, fps: float,
         raise AnnotationError(f"action [{start}, {end}] must satisfy 0 <= start < end")
     factor = num_snippets * fps / frame_count
     return start * factor, end * factor
+
+
+def check_time_axis(annotation: VideoAnnotation, seq: VideoFeatureSequence) -> None:
+    """Require ``frame_count == num_snippets x snippet_stride``.
+
+    Labels map seconds to snippets through ``frame_count`` and decoding maps
+    them back through the stride; the two agree only on one time axis.
+    """
+    if annotation.frame_count != seq.num_snippets * seq.snippet_stride:
+        raise ConfigError(f"{annotation.video_id}: frame_count {annotation.frame_count} != "
+                          f"{seq.num_snippets} snippets x stride {seq.snippet_stride}")

@@ -190,7 +190,11 @@ def suppress(proposals: list[Proposal],
 def generate_proposals(output: BoundaryNetOutput, snippet_stride: int, fps: float,
                        suppression: SoftSuppressionConfig | HardSuppressionConfig,
                        ) -> list[Proposal]:
-    """Candidate pairing plus suppression, with intervals mapped to seconds."""
+    """Candidate pairing plus suppression, with intervals mapped to seconds.
+
+    No annotation reaches this function, so the caller checks the time axis
+    (``data.check_time_axis``); the command line does when it loads a corpus.
+    """
     seconds_per_snippet = snippet_stride / fps
     rows = pair_candidates(output) * [seconds_per_snippet, seconds_per_snippet, 1.0]
     return suppress([Proposal(*row) for row in rows.tolist()], suppression)

@@ -26,7 +26,7 @@ from tapgkit.autodiff.checkpoint import load_checkpoint, save_checkpoint
 from tapgkit.autodiff.optim import Adam
 from tapgkit.autodiff.tensor import Tape, Tensor
 from tapgkit.boundary_net import valid_cells
-from tapgkit.data.annotations import VideoAnnotation, rescale_action
+from tapgkit.data.annotations import VideoAnnotation, check_time_axis, rescale_action
 from tapgkit.data.features import VideoFeatureSequence
 from tapgkit.errors import (
     ConfigError,
@@ -226,7 +226,8 @@ def train(model: ProposalModel, features: dict[str, VideoFeatureSequence],
     """Run the epoch loop; one optimizer step per video.
 
     Video order is reshuffled every epoch from (seed, epoch), so a resumed
-    run revisits the same order it would have seen uninterrupted. Aborts on
+    run revisits the same order it would have seen uninterrupted. Every video
+    must lie on its annotation's time axis (``check_time_axis``). Aborts on
     a non-finite loss. ``on_epoch(model, report)`` fires after every epoch.
     """
     cfg.validate()
@@ -236,6 +237,8 @@ def train(model: ProposalModel, features: dict[str, VideoFeatureSequence],
     missing = [v for v in ids if v not in annotations]
     if missing:
         raise ConfigError(f"videos without annotations: {missing}")
+    for vid in ids:
+        check_time_axis(annotations[vid], features[vid])
 
     net_cfg = model.boundary_net.cfg
     labels = {
@@ -307,13 +310,14 @@ def save_training_state(path, model: ProposalModel, epochs_completed: int,
 
 
 def load_training_state(path, model: ProposalModel, optimizer: Adam | None = None) -> int:
-    """Restore parameters, and Adam's state when both the file and the caller
-    have one; returns the number of completed epochs (0 if absent)."""
+    """Restore parameters and, when the caller passes an optimizer, Adam's
+    state, which the file must then hold for exactly this model; returns the
+    number of completed epochs (0 if absent)."""
     state = load_checkpoint(path)
     epochs = int(state.pop(EPOCH_KEY).item()) if EPOCH_KEY in state else 0
     saved = {name: state.pop(name) for name in [n for n in state if n.startswith("optim.")]}
     model.load_state_dict(state)
-    if optimizer is not None and saved:
+    if optimizer is not None:
         moments = _moments(optimizer)
         if saved.keys() != {"optim.t", *moments} or any(
                 saved[name].shape != arr.shape for name, arr in moments.items()):

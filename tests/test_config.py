@@ -1,5 +1,6 @@
 """INI run-configuration parsing."""
 
+import configparser
 import dataclasses
 import json
 import typing
@@ -14,10 +15,16 @@ from tapgkit.config import (
     describe,
     load_run_config,
     parse_threshold_list,
+    render,
     write_default_config,
 )
 from tapgkit.errors import ConfigError, ShapeError
-from tapgkit.inference import HardSuppressionConfig, SoftSuppressionConfig
+from tapgkit.inference import (
+    PRESETS,
+    HardSuppressionConfig,
+    SoftSuppressionConfig,
+    suppression_preset,
+)
 
 
 def _float_keys():
@@ -123,9 +130,30 @@ class TestDefaults:
     def test_written_default_file_round_trips(self, tmp_path):
         path = tmp_path / "run.ini"
         write_default_config(path)
-        cfg = load_run_config(path)
-        assert cfg.synthetic == load_run_config().synthetic
-        assert cfg.training == load_run_config().training
+        assert dataclasses.asdict(load_run_config(path)) == dataclasses.asdict(RunConfig())
+
+    def test_written_default_file_sets_every_key(self, tmp_path):
+        path = tmp_path / "run.ini"
+        write_default_config(path)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(path.read_text())
+        run, skips = RunConfig(), {"representation": {"env_dim", "actor_dim", "object_dim"}}
+        expected = {"data": {"root"}}
+        for name, attr in (("synthetic", "synthetic"), ("representation", "representation"),
+                           ("boundary_net", "boundary"), ("training", "training"),
+                           ("inference", "suppression"), ("evaluation", "evaluation")):
+            fields = {f.name for f in dataclasses.fields(getattr(run, attr))}
+            expected[name] = fields - skips.get(name, set())
+        expected["inference"] |= {"mode"}
+        assert {name: set(parser[name]) for name in parser.sections()} == expected
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_rendered_file_round_trips_every_preset(self, tmp_path, preset):
+        cfg = RunConfig(suppression=suppression_preset(preset))
+        cfg.boundary.max_duration = 12
+        path = tmp_path / "run.ini"
+        path.write_text(render(cfg))
+        assert load_run_config(path) == cfg
 
     def test_default_file_matches_dataclass_defaults(self):
         assert dataclasses.asdict(load_run_config()) == dataclasses.asdict(RunConfig())

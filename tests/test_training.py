@@ -15,7 +15,13 @@ from tapgkit.boundary_net import valid_cells
 from tapgkit.config import RunConfig
 from tapgkit.data.annotations import ActionInstance, VideoAnnotation
 from tapgkit.data.synthetic import SyntheticConfig, generate_corpus
-from tapgkit.errors import DegenerateInputError, EmptyInputError, FileFormatError, ShapeError
+from tapgkit.errors import (
+    ConfigError,
+    DegenerateInputError,
+    EmptyInputError,
+    FileFormatError,
+    ShapeError,
+)
 from tapgkit.model import ProposalModel
 from tapgkit.representation import RepresentationConfig
 from tapgkit.training import (
@@ -271,6 +277,19 @@ class TestEpochLoop:
         with pytest.raises(Exception):
             train(model, corpus.features, annotations, TrainConfig(epochs=1))
 
+    def test_frame_count_off_the_snippet_axis_rejected(self):
+        corpus = generate_corpus(SyntheticConfig(num_videos=3, seed=4))
+        vid = sorted(corpus.annotations)[1]
+        annotation = corpus.annotations[vid]
+        assert annotation.frame_count == 512
+        annotations = {**corpus.annotations,
+                       vid: dataclasses.replace(annotation, frame_count=640)}
+        run = RunConfig()
+        rep = dataclasses.replace(run.representation, env_dim=16, actor_dim=16, object_dim=16)
+        model = ProposalModel(np.random.default_rng(0), rep, run.boundary.build(32, 32))
+        with pytest.raises(ConfigError, match=vid):
+            train(model, corpus.features, annotations, TrainConfig(epochs=1))
+
     def test_on_epoch_callback_fires(self):
         corpus, model = _tiny_setup(seed=6)
         seen = []
@@ -343,5 +362,12 @@ class TestCheckpointResume:
         state = load_checkpoint(path)
         state["optim.m.0"] = np.zeros(3)
         save_checkpoint(path, state)
+        with pytest.raises(FileFormatError, match="optimizer state"):
+            load_training_state(path, model, Adam(model.parameters()))
+
+    def test_resume_from_a_checkpoint_without_optimizer_state_rejected(self, tmp_path):
+        _, model = _tiny_setup(seed=7)
+        path = tmp_path / "ckpt.tapg"
+        save_training_state(path, model, 1)
         with pytest.raises(FileFormatError, match="optimizer state"):
             load_training_state(path, model, Adam(model.parameters()))
