@@ -60,7 +60,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FileFormatError(f"{path}: entry name is not UTF-8 ({err})") from err
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         n_values = int(np.prod(shape, dtype=np.int64)) if rank else 1

@@ -23,7 +23,7 @@ MASKED_LOGIT = -1e30
 
 
 class Module:
-    """Base class: state discovery, gradient reset, flat state access.
+    """Base class: state discovery, freezing, flat state access.
 
     A module's state is every public ``Tensor`` attribute, found recursively
     through sub-modules and lists of them; attributes whose name starts with
@@ -52,10 +52,6 @@ class Module:
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     def freeze(self) -> None:
         """Turn every state tensor into fixed state: kept, never trained."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import weakref
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,19 +70,17 @@ class Tensor:
     ``grad = None`` and gets a buffer only when a backward pass reaches it,
     so results on branches no gradient flows through keep ``None``.
 
-    An op result refers to its tape only weakly: dropping the tape frees the
-    recorded graph at once, and ``backward`` on a result whose tape is gone
-    raises :class:`GraphError`.
+    An op result holds no reference to its tape, so dropping the tape frees
+    the recorded graph at once.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=get_default_dtype())
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if self.requires_grad else None
-        self._tape = None
 
     @property
     def shape(self):
@@ -104,38 +101,6 @@ class Tensor:
         if self.requires_grad:
             self.grad = np.zeros_like(self.data)
 
-    def backward(self) -> None:
-        """Run reverse-mode differentiation from this scalar."""
-        tape = self._tape() if self._tape is not None else None
-        if tape is None:
-            raise GraphError("tensor was not recorded on a live tape")
-        tape.backward(self)
-
-    # ergonomic operator sugar; heavy lifting stays in the module functions
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -154,9 +119,8 @@ class Tape:
     """Ordered log of executed differentiable operations.
 
     Use as a context manager around a forward pass; ``backward`` replays the
-    log once, in reverse. A consumed tape must be ``reset`` (or discarded)
-    before recording again. The tape owns its graph: recorded results point
-    back at it only through a weak reference, so the graph is freed as soon
+    log once, in reverse; a consumed tape records nothing more. The tape owns
+    its graph and no result points back at it, so the graph is freed as soon
     as the last reference to the tape goes, without waiting for the cyclic
     garbage collector.
     """
@@ -164,7 +128,6 @@ class Tape:
     def __init__(self):
         self._records: list[_Record] = []
         self._consumed = False
-        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -179,13 +142,8 @@ class Tape:
 
     def record(self, out: Tensor, inputs: Sequence[Tensor], fn) -> None:
         if self._consumed:
-            raise GraphError("tape already replayed; reset it before reuse")
-        out._tape = self._ref
+            raise GraphError("tape already replayed; record on a new tape")
         self._records.append(_Record(out, tuple(inputs), fn))
-
-    def reset(self) -> None:
-        self._records.clear()
-        self._consumed = False
 
     def backward(self, loss: Tensor, params: Iterable[Tensor] = ()) -> None:
         """Replay the log in reverse from the scalar ``loss``.
@@ -199,12 +157,13 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if self._consumed:
-            raise GraphError("tape already replayed; reset it before reuse")
+            raise GraphError("tape already replayed; record on a new tape")
         # results recorded here start without a buffer; only the leaves (the
-        # tracked inputs recorded elsewhere) carry gradients from earlier passes
+        # tracked inputs no record here produced) carry earlier passes' gradients
+        results = {id(rec.out) for rec in self._records}
         leaves = {id(t): t for t in params}
         leaves.update((id(t), t) for rec in self._records for t in rec.inputs
-                      if t.requires_grad and t._tape is not self._ref)
+                      if t.requires_grad and id(t) not in results)
         for t in leaves.values():
             t.zero_grad()
         if loss.requires_grad:
@@ -213,10 +172,6 @@ class Tape:
             if rec.out.grad is not None:
                 rec.fn(rec.out.grad)
         self._consumed = True
-
-
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def constant(data) -> Tensor:
@@ -239,7 +194,6 @@ def _from_op(data: np.ndarray, inputs: Sequence[Tensor], fn) -> Tensor:
     out.data = np.asarray(data, dtype=get_default_dtype())
     out.requires_grad = tracked
     out.grad = None
-    out._tape = None
     if tracked:
         tape.record(out, inputs, fn)
     return out
@@ -273,8 +227,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _from_op(out, (a, b), backward)
 
@@ -283,8 +239,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _from_op(out, (a, b), backward)
 
@@ -293,8 +251,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _from_op(out, (a, b), backward)
 

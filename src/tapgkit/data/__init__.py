@@ -13,7 +13,6 @@ from tapgkit.data.features import (
     VideoFeatureSequence,
     feature_path,
     load_features,
-    load_video_features,
     save_features,
 )
 from tapgkit.data.synthetic import (
@@ -27,6 +26,5 @@ __all__ = [
     "ActionInstance", "SnippetBundle", "SyntheticConfig", "SyntheticCorpus",
     "VideoAnnotation", "VideoFeatureSequence", "check_time_axis", "feature_path",
     "generate_corpus", "load_annotations", "load_features",
-    "load_video_features", "rescale_action", "save_annotations",
-    "save_features", "write_corpus",
+    "rescale_action", "save_annotations", "save_features", "write_corpus",
 ]

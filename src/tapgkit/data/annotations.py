@@ -54,7 +54,7 @@ class VideoAnnotation:
     subset: str = "training"
 
     def validate(self) -> None:
-        if self.duration <= 0 or self.fps <= 0 or self.frame_count <= 0:
+        if not (self.duration > 0 and self.fps > 0 and self.frame_count > 0):
             raise AnnotationError(
                 f"{self.video_id}: duration/fps/frame_count must be positive, got "
                 f"{self.duration}/{self.fps}/{self.frame_count}"
@@ -86,7 +86,7 @@ def load_annotations(path) -> dict[str, VideoAnnotation]:
                 annotations=actions,
                 subset=str(rec.get("subset", "training")),
             )
-        except (KeyError, TypeError, IndexError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, IndexError, ValueError) as err:
             raise AnnotationError(f"{path}: malformed record for {video_id!r} ({err})") from err
         video.validate()
         out[video_id] = video

@@ -117,7 +117,3 @@ def load_features(path, video_id: str | None = None) -> VideoFeatureSequence:
 
 def feature_path(directory, video_id: str) -> Path:
     return Path(directory) / f"{video_id}{FILE_SUFFIX}"
-
-
-def load_video_features(directory, video_id: str) -> VideoFeatureSequence:
-    return load_features(feature_path(directory, video_id), video_id)

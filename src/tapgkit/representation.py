@@ -122,9 +122,6 @@ class SnippetRepresentation(Module):
                                    [bundle.objects])
         return T.reshape(fused, (-1,)), info
 
-    def snippet(self, bundle: SnippetBundle) -> Tensor:
-        return self.snippet_with_info(bundle)[0]
-
     def video(self, seq: VideoFeatureSequence) -> Tensor:
         """Representation matrix (feature_dim, T), one column per snippet."""
         snippets = seq.snippets

@@ -51,6 +51,20 @@ class TestSchema:
         with pytest.raises(AnnotationError):
             load_annotations(path)
 
+    def test_record_must_be_mapping(self, tmp_path):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({"v0": [24.0, 8.0, 192]}))
+        with pytest.raises(AnnotationError, match="v0"):
+            load_annotations(path)
+
+    @pytest.mark.parametrize("field", ["duration", "fps"])
+    def test_nan_metadata_rejected(self, tmp_path, field):
+        record = {"duration": 24.0, "fps": 8.0, "frame_count": 192, field: float("nan")}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"v0": record}))
+        with pytest.raises(AnnotationError, match="v0"):
+            load_annotations(path)
+
 
 class TestValidation:
     def test_inverted_segment_rejected(self):

@@ -92,3 +92,12 @@ class TestCorruption:
         path.write_bytes(MAGIC + struct.pack("<I", 2) + entry + entry)
         with pytest.raises(FileFormatError):
             load_checkpoint(path)
+
+    def test_entry_name_not_utf8_rejected(self, tmp_path):
+        name = b"\xff"
+        entry = (struct.pack("<I", len(name)) + name + struct.pack("<I", 0)
+                 + np.zeros(1, dtype="<f8").tobytes())
+        path = tmp_path / "name.tapg"
+        path.write_bytes(MAGIC + struct.pack("<I", 1) + entry)
+        with pytest.raises(FileFormatError, match="name.tapg"):
+            load_checkpoint(path)

@@ -9,7 +9,6 @@ from tapgkit.data.features import (
     VideoFeatureSequence,
     feature_path,
     load_features,
-    load_video_features,
     save_features,
 )
 from tapgkit.errors import FileFormatError, ShapeError
@@ -59,7 +58,7 @@ class TestRoundTrip:
     def test_video_id_from_filename(self, tmp_path):
         seq = _sequence(np.random.default_rng(0))
         save_features(feature_path(tmp_path, "clip_07"), seq)
-        assert load_video_features(tmp_path, "clip_07").video_id == "clip_07"
+        assert load_features(feature_path(tmp_path, "clip_07"), "clip_07").video_id == "clip_07"
 
 
 class TestValidation:

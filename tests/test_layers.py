@@ -56,7 +56,8 @@ class TestModuleTree:
             loss = T.sum_(layer(Tensor(np.ones((2, 3)))))
             tape.backward(loss)
         assert np.abs(layer.weight.grad).sum() > 0
-        layer.zero_grad()
+        for p in layer.parameters():
+            p.zero_grad()
         np.testing.assert_allclose(layer.weight.grad, 0.0)
 
 

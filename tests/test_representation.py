@@ -35,7 +35,7 @@ class TestShapes:
     def test_snippet_vector_width(self):
         rng = np.random.default_rng(0)
         model = SnippetRepresentation(rng, _cfg())
-        out = model.snippet(_bundle(rng))
+        out = model.snippet_with_info(_bundle(rng))[0]
         assert out.data.shape == (10,)
 
     def test_video_matrix_is_feature_by_time(self):
@@ -65,7 +65,7 @@ class TestAblations:
         names = {name for name, _ in model.named_parameters()}
         assert all(not n.startswith(("actor_", "object_")) for n in names)
         rng = np.random.default_rng(4)
-        assert model.snippet(_bundle(rng)).data.shape == (10,)
+        assert model.snippet_with_info(_bundle(rng))[0].data.shape == (10,)
 
     def test_disabling_environment_forces_soft_attention(self):
         cfg = _cfg(use_environment=False, attention_mode="adaptive")
@@ -84,8 +84,8 @@ class TestAblations:
         full = SnippetRepresentation(np.random.default_rng(8), _cfg())
         env_only = SnippetRepresentation(np.random.default_rng(8), _cfg(
             use_actors=False, use_objects=False))
-        assert not np.allclose(full.snippet(bundle).data,
-                               env_only.snippet(bundle).data)
+        assert not np.allclose(full.snippet_with_info(bundle)[0].data,
+                               env_only.snippet_with_info(bundle)[0].data)
 
 
 class TestGradients:
@@ -94,7 +94,7 @@ class TestGradients:
         model = SnippetRepresentation(rng, _cfg())
         bundle = _bundle(rng)
         with Tape() as tape:
-            out = model.snippet(bundle)
+            out = model.snippet_with_info(bundle)[0]
             tape.backward(scalarize(out))
         for name in ("actor_proj", "object_proj", "env_proj", "interaction"):
             total = sum(np.abs(p.grad).sum()
@@ -106,7 +106,7 @@ class TestGradients:
         model = SnippetRepresentation(rng, _cfg())
         bundle = _bundle(rng)
         with Tape() as tape:
-            out = model.snippet(bundle)
+            out = model.snippet_with_info(bundle)[0]
             tape.backward(scalarize(out))
         scorer = [(name, t) for name, t in model.named_state()
                   if ".candidate_embed" in name or ".context_embed" in name]

@@ -11,7 +11,7 @@ from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.checkpoint import load_checkpoint, save_checkpoint
 from tapgkit.autodiff.optim import Adam
 from tapgkit.autodiff.tensor import Tape
-from tapgkit.boundary_net import valid_cells
+from tapgkit.boundary_net import BoundaryNetOutput, valid_cells
 from tapgkit.config import RunConfig
 from tapgkit.data.annotations import ActionInstance, VideoAnnotation
 from tapgkit.data.synthetic import SyntheticConfig, generate_corpus
@@ -218,6 +218,37 @@ class TestGridLoss:
         with pytest.raises(EmptyInputError):
             proposal_grid_loss(T.constant(np.zeros((2, 2))), np.zeros((2, 2)),
                                np.zeros((2, 2), dtype=bool), 1.0)
+
+
+class TestTotalLoss:
+    def test_backward_hands_no_gradient_to_a_constant(self, monkeypatch):
+        # the label constants enter sub and mul; their side of the product is
+        # skipped, not computed and then dropped
+        rng = np.random.default_rng(0)
+        t, d = 8, 4
+        output = BoundaryNetOutput(
+            start=T.parameter(rng.uniform(0.1, 0.9, t)),
+            end=T.parameter(rng.uniform(0.1, 0.9, t)),
+            actionness=T.parameter(rng.uniform(0.1, 0.9, (d, t))),
+            valid=valid_cells(t, d))
+        annotation = VideoAnnotation("v", duration=8.0, fps=1.0, frame_count=8,
+                                     annotations=[ActionInstance(2.0, 5.0, "a")])
+        labels = video_labels(annotation, t, d)
+        accum, untracked = T._accum, []
+
+        def checked(tensor, g):
+            if not tensor.requires_grad:
+                untracked.append(g.shape)
+            accum(tensor, g)
+
+        monkeypatch.setattr(T, "_accum", checked)
+        with Tape() as tape:
+            loss, report = total_loss(output, labels, 10.0)
+            tape.backward(loss)
+        assert report.degenerate_terms == 0
+        assert untracked == []
+        for p in (output.start, output.end, output.actionness):
+            assert np.abs(p.grad).sum() > 0
 
 
 def _tiny_setup(num_videos=3, seed=0):
