@@ -32,9 +32,7 @@ def interval_iou(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     s2, e2 = second[..., 0], second[..., 1]
     inter = np.maximum(0.0, np.minimum(e1, e2) - np.maximum(s1, s2))
     union = (e1 - s1) + (e2 - s2) - inter
-    with np.errstate(invalid="ignore", divide="ignore"):
-        iou = np.where(union > 0.0, inter / union, 0.0)
-    return iou
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
 def iou_matrix(proposals: np.ndarray, targets: np.ndarray) -> np.ndarray:

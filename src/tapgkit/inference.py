@@ -8,15 +8,19 @@ grid's duration range becomes a candidate interval, scored by the product
 
     start_prob[s] * end_prob[e] * grid_prob[e - s - 1, s].
 
-Redundant candidates are thinned either by classic suppression (drop
-everything overlapping a kept proposal beyond a threshold) or by score decay:
-a proposal overlapping the last kept one enough has its score multiplied by
+Redundant candidates are thinned by greedy suppression: keep the best live
+candidate, then rescore the rest against it. Classic suppression drops
+everything overlapping a kept proposal beyond a threshold; score decay
+multiplies the score of a proposal overlapping the last kept one enough by
 exp(-IoU / sigma). "Enough" is IoU >= overlap_offset + distance_weight *
 (centre distance in kept durations), so far-apart intervals can be left
-alone even at moderate IoU. Decayed proposals whose score falls under a
-floor are dropped.
+alone even at moderate IoU. After each pick, proposals whose score is under
+a floor are dropped, so the first pick is kept even when it is under it.
 
-Preset parameter sets are provided for the usual benchmark configurations.
+``suppress`` works on (n, 3) float64 rows [start, end, score] and picks each
+row with one argmax over a row of live scores; ``soft_nms`` and ``nms`` wrap
+it for lists of ``Proposal``. Preset parameter sets are provided for the
+usual benchmark configurations.
 """
 
 from __future__ import annotations
@@ -29,7 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from tapgkit.boundary_net import BoundaryNetOutput
-from tapgkit.errors import ConfigError, EmptyInputError, FileFormatError
+from tapgkit.errors import (
+    ConfigError,
+    DegenerateInputError,
+    EmptyInputError,
+    FileFormatError,
+)
 from tapgkit.evaluation import Detection, interval_iou
 from tapgkit.files import write_atomic
 
@@ -132,55 +141,68 @@ def suppression_preset(name: str) -> SoftSuppressionConfig | HardSuppressionConf
                           f"known: {sorted(PRESETS)}") from None
 
 
-def _greedy_suppress(proposals: list[Proposal], max_keep: int,
-                     rescore) -> list[Proposal]:
-    """Keep the best remaining row, rescore the rest against it, repeat.
+def suppress(rows: np.ndarray,
+             cfg: SoftSuppressionConfig | HardSuppressionConfig) -> np.ndarray:
+    """Greedy suppression of (n, 3) rows [start, end, score].
 
-    The best row has the highest score; ties go to the earlier start, then
-    to input order. ``rescore(top, rows, iou)`` returns the rows that stay
-    in the pool, with their new scores.
+    Each pick keeps the live row with the highest score; ties go to the
+    earlier start, then to input order. Returns the kept rows, with the
+    scores they had when picked, in pick order.
     """
-    rows = np.array([[p.start, p.end, p.score] for p in proposals],
-                    dtype=np.float64).reshape(-1, 3)
-    kept = []
-    while len(rows) and len(kept) < max_keep:
-        best = np.lexsort((rows[:, 0], -rows[:, 2]))[0]
+    cfg.validate()
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(rows).all():
+        raise DegenerateInputError("suppression needs finite starts, ends and scores")
+    # sorted by start, so argmax's first maximum is the tie order above
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    live = rows[:, 2].copy()        # -inf once a row is kept or dropped
+    soft = isinstance(cfg, SoftSuppressionConfig)
+    kept, scores = [], []
+    for _ in range(min(cfg.max_keep, len(rows))):
+        best = int(np.argmax(live))
+        if live[best] == -math.inf:
+            break
         top = rows[best]
-        kept.append(top)
-        rows = np.delete(rows, best, axis=0)
-        rows = rescore(top, rows, interval_iou(top[:2], rows[:, :2]))
-    return [Proposal(*row) for row in np.array(kept).reshape(-1, 3).tolist()]
+        kept.append(best)
+        scores.append(live[best])
+        live[best] = -math.inf
+        iou = interval_iou(top[:2], rows[:, :2])
+        if not soft:
+            live[iou > cfg.threshold] = -math.inf
+            continue
+        duration = top[1] - top[0]
+        gap = np.abs((top[0] + top[1]) - (rows[:, 0] + rows[:, 1])) / 2.0
+        distance = gap / duration if duration > 0 else math.inf
+        # only live rows decay: a factor that underflows to 0 would turn -inf
+        # into nan, which argmax picks first
+        hit = (iou >= cfg.overlap_offset + cfg.distance_weight * distance) \
+            & (live > -math.inf)
+        # math.exp, not np.exp: the two differ in the last bit on some inputs
+        live[hit] *= [math.exp(x) for x in (-iou[hit] / cfg.sigma).tolist()]
+        live[live < cfg.score_floor] = -math.inf
+    out = rows[kept]
+    out[:, 2] = scores
+    return out
+
+
+def _rows(proposals: list[Proposal]) -> np.ndarray:
+    return np.array([[p.start, p.end, p.score] for p in proposals],
+                    dtype=np.float64).reshape(-1, 3)
+
+
+def _proposals(rows: np.ndarray) -> list[Proposal]:
+    return [Proposal(*row) for row in rows.tolist()]
 
 
 def soft_nms(proposals: list[Proposal], cfg: SoftSuppressionConfig) -> list[Proposal]:
     """Score-decay suppression; returns kept proposals in descending score."""
-    cfg.validate()
-
-    def decay(top, rows, iou):
-        duration = top[1] - top[0]
-        gap = np.abs((top[0] + top[1]) - (rows[:, 0] + rows[:, 1])) / 2.0
-        distance = gap / duration if duration > 0 else math.inf
-        hit = iou >= cfg.overlap_offset + cfg.distance_weight * distance
-        # math.exp, not np.exp: the two differ in the last bit on some inputs
-        rows[hit, 2] *= [math.exp(x) for x in (-iou[hit] / cfg.sigma).tolist()]
-        return rows[rows[:, 2] >= cfg.score_floor]
-
-    return _greedy_suppress(proposals, cfg.max_keep, decay)
+    return _proposals(suppress(_rows(proposals), cfg))
 
 
 def nms(proposals: list[Proposal], cfg: HardSuppressionConfig) -> list[Proposal]:
     """Classic suppression: drop everything overlapping a kept proposal
     strictly beyond the threshold."""
-    cfg.validate()
-    return _greedy_suppress(proposals, cfg.max_keep,
-                            lambda top, rows, iou: rows[iou <= cfg.threshold])
-
-
-def suppress(proposals: list[Proposal],
-             cfg: SoftSuppressionConfig | HardSuppressionConfig) -> list[Proposal]:
-    if isinstance(cfg, SoftSuppressionConfig):
-        return soft_nms(proposals, cfg)
-    return nms(proposals, cfg)
+    return _proposals(suppress(_rows(proposals), cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +219,7 @@ def generate_proposals(output: BoundaryNetOutput, snippet_stride: int, fps: floa
     """
     seconds_per_snippet = snippet_stride / fps
     rows = pair_candidates(output) * [seconds_per_snippet, seconds_per_snippet, 1.0]
-    return suppress([Proposal(*row) for row in rows.tolist()], suppression)
+    return _proposals(suppress(rows, suppression))
 
 
 def merge_class_scores(proposals: list[Proposal], class_scores: dict[str, float],
@@ -230,14 +252,27 @@ def save_proposals(path, proposals_by_video: dict[str, list[Proposal]]) -> None:
 
 
 def load_proposals(path) -> dict[str, list[Proposal]]:
+    """Read a proposal file. Every video must map to a list of proposals, each
+    with a finite segment ``0 <= start < end`` and a finite score."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-        return {
-            vid: [Proposal(float(r["segment"][0]), float(r["segment"][1]),
-                           float(r["score"])) for r in records]
-            for vid, records in raw.items()
-        }
-    except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError,
-            AttributeError) as err:
+        videos = json.loads(path.read_text()).items()
+    except (ValueError, AttributeError) as err:
         raise FileFormatError(f"{path}: malformed proposal file ({err})") from err
+    return {vid: _read_video(f"{path}: video {vid!r}", records)
+            for vid, records in videos}
+
+
+def _read_video(where: str, records) -> list[Proposal]:
+    if not isinstance(records, list):
+        raise FileFormatError(f"{where}: proposals must be a list")
+    try:
+        props = [Proposal(float(r["segment"][0]), float(r["segment"][1]),
+                          float(r["score"])) for r in records]
+    except (KeyError, TypeError, IndexError, ValueError) as err:
+        raise FileFormatError(f"{where}: malformed proposal ({err})") from err
+    for p in props:
+        if not (0.0 <= p.start < p.end < math.inf and math.isfinite(p.score)):
+            raise FileFormatError(f"{where}: unusable proposal segment "
+                                  f"[{p.start}, {p.end}] with score {p.score}")
+    return props

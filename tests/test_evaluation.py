@@ -67,6 +67,22 @@ class TestIntervalIou:
         want = [_iou_scalar(a[i], b[i]) for i in range(20)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    def test_bit_identical_to_scalar_formula_on_edge_intervals(self):
+        rng = np.random.default_rng(11)
+        a = np.sort(rng.uniform(0, 10, (40, 2)), axis=1)
+        b = np.sort(rng.uniform(0, 10, (40, 2)), axis=1)
+        a[:8, 1] = a[:8, 0]                 # zero-length
+        b[:4] = a[:4]                       # both zero-length: empty union
+        b[8:16] = a[8:16]                   # identical
+        b[16:24] = a[16:24] + 20.0          # disjoint
+        b[24:28] = a[24:28, :1]             # zero-length at the other's start
+        got = interval_iou(a, b)
+        assert got.tolist() == [_iou_scalar(x, y) for x, y in zip(a, b)]
+        for x, y in zip(a, b):
+            one = interval_iou(x, y)         # the 0-d case detection_map uses
+            assert isinstance(one, np.ndarray) and one.shape == ()
+            assert float(one) == _iou_scalar(x, y)
+
     def test_matrix_shape_and_values(self):
         rng = np.random.default_rng(3)
         props = np.sort(rng.uniform(0, 10, (4, 2)), axis=1)

@@ -8,7 +8,12 @@ import pytest
 
 from tapgkit.autodiff import tensor as T
 from tapgkit.boundary_net import BoundaryNetOutput, valid_cells
-from tapgkit.errors import ConfigError, EmptyInputError, FileFormatError
+from tapgkit.errors import (
+    ConfigError,
+    DegenerateInputError,
+    EmptyInputError,
+    FileFormatError,
+)
 from tapgkit.inference import (
     HardSuppressionConfig,
     Proposal,
@@ -295,10 +300,68 @@ class TestPresets:
             suppression_preset("imaginary")
 
     def test_dispatcher_accepts_both_kinds(self):
-        proposals = [Proposal(0.0, 2.0, 0.9), Proposal(0.1, 2.1, 0.8)]
-        soft = suppress(list(proposals), suppression_preset("anet-tapg-snms"))
-        hard = suppress(list(proposals), suppression_preset("thumos-tad-nms"))
-        assert len(soft) >= len(hard)
+        rows = np.array([[0.0, 2.0, 0.9], [0.1, 2.1, 0.8]])
+        soft = suppress(rows, suppression_preset("anet-tapg-snms"))
+        hard = suppress(rows, suppression_preset("thumos-tad-nms"))
+        assert soft.shape == (2, 3) and hard.shape == (1, 3)
+
+
+PRESET_NAMES = ["anet-tapg-snms", "thumos-tapg-snms", "anet-tad-snms",
+                "thumos-tad-nms"]
+
+
+def _oracle(proposals, cfg):
+    if isinstance(cfg, SoftSuppressionConfig):
+        return _soft_nms_oracle(proposals, cfg)
+    return _nms_oracle(proposals, cfg)
+
+
+def _tied_rows(rng):
+    """Rows drawn from small grids, so scores and starts tie often, with a
+    few scores under the default floor."""
+    n = int(rng.integers(1, 40))
+    starts = rng.choice(np.arange(0.0, 12.0, 0.5), n)
+    ends = starts + rng.choice([0.5, 1.0, 2.0, 3.5, 6.0], n)
+    scores = rng.choice([0.9, 0.6, 0.6, 0.3, 5e-5, 2e-4], n)
+    return np.column_stack([starts, ends, scores])
+
+
+class TestSuppressRows:
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("seed", range(25))
+    def test_randomized_against_oracle(self, preset, seed):
+        rng = np.random.default_rng(500 + seed)
+        rows = _tied_rows(rng)
+        cfg = suppression_preset(preset)
+        cfg.max_keep = int(rng.integers(1, 2 * len(rows) + 2))   # often above n
+        got = suppress(rows, cfg)
+        assert got.dtype == np.float64 and got.shape[1] == 3
+        want = _oracle([Proposal(*r) for r in rows.tolist()], cfg)
+        assert [tuple(r) for r in got.tolist()] == _triples(want)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES[:3])
+    def test_all_scores_under_the_floor_keep_one(self, preset):
+        # the floor applies after each pick, so the first pick always stays
+        rows = np.array([[4.0, 6.0, 2e-5], [0.0, 1.0, 5e-5], [8.0, 9.0, 5e-5]])
+        got = suppress(rows, suppression_preset(preset))
+        assert got.tolist() == [[0.0, 1.0, 5e-5]]
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, preset, bad):
+        rows = np.array([[0.0, 2.0, 0.9], [0.5, 2.5, bad], [5.0, 6.0, 0.4]])
+        with pytest.raises(DegenerateInputError):
+            suppress(rows, suppression_preset(preset))
+
+    def test_empty_rows(self):
+        got = suppress(np.zeros((0, 3)), suppression_preset("anet-tapg-snms"))
+        assert got.shape == (0, 3)
+
+    def test_input_rows_left_unchanged(self):
+        rows = pair_candidates(_toy_output(seed=6))
+        before = rows.copy()
+        suppress(rows, suppression_preset("anet-tad-snms"))
+        np.testing.assert_array_equal(rows, before)
 
 
 class TestGenerateProposals:
@@ -313,6 +376,18 @@ class TestGenerateProposals:
         raw_spans = sorted((s * factor, e * factor) for s, e, _ in raw)
         got_spans = sorted((p.start, p.end) for p in seconds)
         np.testing.assert_allclose(got_spans, raw_spans)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_proposal_list_path(self, preset, seed):
+        out = _toy_output(seed=seed, num_snippets=24, max_duration=16)
+        cfg = suppression_preset(preset)
+        scale = 16 / 8.0
+        listed = [Proposal(s * scale, e * scale, v)
+                  for s, e, v in pair_candidates(out).tolist()]
+        want = soft_nms(listed, cfg) if isinstance(cfg, SoftSuppressionConfig) \
+            else nms(listed, cfg)
+        assert _triples(generate_proposals(out, 16, 8.0, cfg)) == _triples(want)
 
     def test_suppression_is_applied(self):
         out = _toy_output(seed=5)
@@ -365,6 +440,24 @@ class TestProposalFiles:
         path = tmp_path / "bad.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(FileFormatError):
+            load_proposals(path)
+
+    @pytest.mark.parametrize("records", [
+        "",
+        {"segment": [0.0, 1.0], "score": 0.5},
+        [{"segment": [2.0, 1.0], "score": 0.5}],
+        [{"segment": [1.0, 1.0], "score": 0.5}],
+        [{"segment": [-0.5, 1.0], "score": 0.5}],
+        [{"segment": [0.0, math.inf], "score": 0.5}],
+        [{"segment": [0.0, 1.0], "score": math.nan}],
+        [{"segment": [0.0, 1.0], "score": math.inf}],
+        [{"segment": [0.0, 1.0], "score": 0.5},
+         {"segment": [math.nan, 1.0], "score": 0.5}],
+    ])
+    def test_unusable_video_entry_names_file_and_video(self, tmp_path, records):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vid_ok": [], "vid_bad": records}))
+        with pytest.raises(FileFormatError, match=r"bad\.json.*'vid_bad'"):
             load_proposals(path)
 
     def test_missing_segment_key(self, tmp_path):
