@@ -30,29 +30,43 @@ class Adam:
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.t = 0
-        # gradient, m and v as flat rows; _m and _v are per-parameter views of theirs
+        # gradient, m and v as flat rows, plus one scratch row; _m and _v are
+        # per-parameter views of theirs, _updates of the gradient row, which a
+        # step overwrites with the update
         self._bounds = np.cumsum([0] + [p.data.size for p in params])
         dtype = np.result_type(*(p.data.dtype for p in params))
         self._flat = np.zeros((3, self._bounds[-1]), dtype=dtype)
-        self._m, self._v = self._views(self._flat[1]), self._views(self._flat[2])
+        self._scratch = np.empty(self._bounds[-1], dtype=dtype)
+        self._updates, self._m, self._v = (self._views(row) for row in self._flat)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [flat[a:b].reshape(p.data.shape)
                 for p, a, b in zip(self.params, self._bounds[:-1], self._bounds[1:])]
 
     def step(self) -> None:
-        """One update of every parameter from its current gradient."""
+        """One update of every parameter from its current gradient.
+
+        Every operation runs in place, in the order of the formula above, so
+        a step allocates no array the size of the parameters.
+        """
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         g, m, v = self._flat
+        s = self._scratch
         np.concatenate([p.grad.reshape(-1) for p in self.params], out=g)
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(g, 1.0 - self.beta1, out=s)
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        m_hat = m / c1
-        v_hat = v / c2
-        upd = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        for p, step in zip(self.params, self._views(upd)):
+        np.multiply(g, g, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        # s <- sqrt(v_hat) + eps; g <- lr * m_hat / s, the update
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        np.divide(m, c1, out=g)
+        g *= self.lr
+        g /= s
+        for p, step in zip(self.params, self._updates):
             p.data -= step

@@ -68,7 +68,9 @@ class Tensor:
     ``requires_grad`` (a parameter) starts with a zero buffer, which every
     backward pass that reads it re-zeroes first. An op result starts with
     ``grad = None`` and gets a buffer only when a backward pass reaches it,
-    so results on branches no gradient flows through keep ``None``.
+    so results on branches no gradient flows through keep ``None``. A
+    result's buffer may be a read-only view that shares memory with another
+    result's gradient.
 
     An op result holds no reference to its tape, so dropping the tape frees
     the recorded graph at once.
@@ -120,13 +122,17 @@ class Tape:
 
     Use as a context manager around a forward pass; ``backward`` replays the
     log once, in reverse; a consumed tape records nothing more. The tape owns
-    its graph and no result points back at it, so the graph is freed as soon
-    as the last reference to the tape goes, without waiting for the cyclic
-    garbage collector.
+    its graph and no result points back at it, so dropping the tape frees the
+    graph without waiting for the cyclic garbage collector. ``backward`` frees
+    it sooner: it releases each record as soon as it has replayed it, so a
+    forward array or an intermediate gradient lives only until the backward
+    of its last consumer has run. ``len(tape)`` stays the number of recorded
+    ops.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
+        self._recorded = 0
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -138,12 +144,13 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._records)
+        return self._recorded
 
     def record(self, out: Tensor, inputs: Sequence[Tensor], fn) -> None:
         if self._consumed:
             raise GraphError("tape already replayed; record on a new tape")
         self._records.append(_Record(out, tuple(inputs), fn))
+        self._recorded += 1
 
     def backward(self, loss: Tensor, params: Iterable[Tensor] = ()) -> None:
         """Replay the log in reverse from the scalar ``loss``.
@@ -168,10 +175,14 @@ class Tape:
             t.zero_grad()
         if loss.requires_grad:
             loss.grad = np.ones_like(loss.data)
-        for rec in reversed(self._records):
+        self._consumed = True
+        records = self._records
+        while records:
+            # every consumer of this result was recorded later and has been
+            # replayed and dropped; dropping this record frees what only it held
+            rec = records.pop()
             if rec.out.grad is not None:
                 rec.fn(rec.out.grad)
-        self._consumed = True
 
 
 def constant(data) -> Tensor:
@@ -200,13 +211,26 @@ def _from_op(data: np.ndarray, inputs: Sequence[Tensor], fn) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        if t.grad is None:
-            # a copy, never g itself: a backward may hand one array to two inputs
+    """Add ``g`` into ``t.grad``.
+
+    A first gradient of ``t``'s dtype and shape is kept without a copy, as a
+    read-only view: ``g`` may be a view of another result's gradient, or one
+    array handed to two inputs. A read-only gradient is never added into in
+    place; the next gradient for ``t`` makes a new array.
+    """
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        if isinstance(g, np.ndarray) and g.dtype == t.data.dtype and g.shape == t.data.shape:
+            t.grad = g.view()
+            t.grad.flags.writeable = False
+        else:
             t.grad = np.empty_like(t.data)
             np.copyto(t.grad, g)
-        else:
-            t.grad += g
+    elif t.grad.flags.writeable:
+        t.grad += g
+    else:
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -298,20 +322,18 @@ def sqrt(a: Tensor) -> Tensor:
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes through unsaturated entries only."""
     out = np.clip(a.data, lo, hi)
-    inside = ((a.data > lo) & (a.data < hi)).astype(a.data.dtype)
 
     def backward(g):
-        _accum(a, g * inside)
+        _accum(a, g * ((a.data > lo) & (a.data < hi)))
 
     return _from_op(out, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
-    mask = (a.data > 0.0).astype(a.data.dtype)
 
     def backward(g):
-        _accum(a, g * mask)
+        _accum(a, g * (a.data > 0.0))
 
     return _from_op(out, (a,), backward)
 

@@ -253,7 +253,7 @@ def save_proposals(path, proposals_by_video: dict[str, list[Proposal]]) -> None:
 
 def load_proposals(path) -> dict[str, list[Proposal]]:
     """Read a proposal file. Every video must map to a list of proposals, each
-    with a finite segment ``0 <= start < end`` and a finite score."""
+    with a finite segment ``0 <= start < end`` and a finite score ``>= 0``."""
     path = Path(path)
     try:
         videos = json.loads(path.read_text()).items()
@@ -272,7 +272,7 @@ def _read_video(where: str, records) -> list[Proposal]:
     except (KeyError, TypeError, IndexError, ValueError) as err:
         raise FileFormatError(f"{where}: malformed proposal ({err})") from err
     for p in props:
-        if not (0.0 <= p.start < p.end < math.inf and math.isfinite(p.score)):
+        if not (0.0 <= p.start < p.end < math.inf and 0.0 <= p.score < math.inf):
             raise FileFormatError(f"{where}: unusable proposal segment "
                                   f"[{p.start}, {p.end}] with score {p.score}")
     return props

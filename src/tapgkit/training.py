@@ -145,6 +145,12 @@ def proposal_grid_loss(pred: Tensor, labels: np.ndarray, valid: np.ndarray,
                        mse_weight: float) -> tuple[Tensor, Tensor, Tensor, bool]:
     """Grid loss over valid cells: balanced cross entropy + weighted MSE.
 
+    Both terms read the prediction clipped to ``[PROBABILITY_FLOOR,
+    1 - PROBABILITY_FLOOR]``, so a cell with p < 1e-7 or p > 1 - 1e-7 adds
+    the MSE of the clipped value and passes no gradient back. Unclipped, the
+    MSE gradient of a saturated sigmoid turns subnormal in float32 on its way
+    back and slows every matrix product it reaches.
+
     Returns (combined, cross_entropy_part, mse_part, degenerate_flag).
     """
     if pred.data.shape != labels.shape or labels.shape != valid.shape:
@@ -155,7 +161,8 @@ def proposal_grid_loss(pred: Tensor, labels: np.ndarray, valid: np.ndarray,
     flat = T.gather_rows(T.reshape(pred, (-1,)), idx)
     flat_labels = labels.ravel()[idx]
     wb, degenerate = weighted_binary_loss(flat, flat_labels)
-    diff = T.sub(flat, T.constant(flat_labels))
+    clipped = T.clip(flat, PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
+    diff = T.sub(clipped, T.constant(flat_labels))
     mse = T.mean(T.mul(diff, diff))
     return T.add(wb, T.scale(mse, mse_weight)), wb, mse, degenerate
 

@@ -451,6 +451,7 @@ class TestProposalFiles:
         [{"segment": [0.0, math.inf], "score": 0.5}],
         [{"segment": [0.0, 1.0], "score": math.nan}],
         [{"segment": [0.0, 1.0], "score": math.inf}],
+        [{"segment": [0.0, 1.0], "score": -0.5}],
         [{"segment": [0.0, 1.0], "score": 0.5},
          {"segment": [math.nan, 1.0], "score": 0.5}],
     ])
@@ -459,6 +460,11 @@ class TestProposalFiles:
         path.write_text(json.dumps({"vid_ok": [], "vid_bad": records}))
         with pytest.raises(FileFormatError, match=r"bad\.json.*'vid_bad'"):
             load_proposals(path)
+
+    def test_zero_score_loads(self, tmp_path):
+        path = tmp_path / "proposals.json"
+        path.write_text(json.dumps({"v": [{"segment": [0.0, 1.0], "score": 0.0}]}))
+        assert load_proposals(path)["v"] == [Proposal(0.0, 1.0, 0.0)]
 
     def test_missing_segment_key(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -117,3 +117,44 @@ def test_flat_step_equals_per_parameter_loop(dtype):
         assert np.array_equal(p.data, want)
         assert np.array_equal(m, want_m) and np.array_equal(v, want_v)
     assert np.array_equal(params[3].data, start[3])
+
+
+def _expression_adam(params, grads_per_step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """The flat Adam step written as one expression per moment and update,
+    each allocating its temporaries."""
+    data = np.concatenate([p.reshape(-1) for p in params])
+    m, v = np.zeros_like(data), np.zeros_like(data)
+    for t, grads in enumerate(grads_per_step, start=1):
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        g = np.concatenate([x.reshape(-1) for x in grads])
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        m_hat = m / c1
+        v_hat = v / c2
+        data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return data, m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_step_equals_the_expression_bit_for_bit(dtype):
+    rng = np.random.default_rng(11)
+    shapes = [(3, 5), (8,), (2, 2, 2)]
+    with T.default_dtype(dtype):
+        params = [T.parameter(rng.standard_normal(s)) for s in shapes]
+        start = [p.data.copy() for p in params]
+        grads_per_step = [
+            [(rng.standard_normal(s) * 10.0 ** rng.integers(-30, 3)).astype(dtype)
+             for s in shapes]
+            for _ in range(6)]
+        opt = Adam(params, lr=0.02, betas=(0.8, 0.99), eps=1e-6)
+        for grads in grads_per_step:
+            for p, g in zip(params, grads):
+                p.grad[...] = g
+            opt.step()
+    data, m, v = _expression_adam(start, grads_per_step, lr=0.02, b1=0.8, b2=0.99, eps=1e-6)
+    got = np.concatenate([p.data.reshape(-1) for p in params])
+    assert got.dtype == data.dtype == np.dtype(dtype)
+    assert np.array_equal(got, data)
+    assert np.array_equal(opt._flat[1], m) and np.array_equal(opt._flat[2], v)

@@ -94,6 +94,36 @@ class TestTapeSemantics:
         np.testing.assert_allclose(a.grad, [4.0])
         np.testing.assert_array_equal(b.grad, [0.0])
 
+    def test_backward_keeps_the_recorded_op_count(self):
+        a = T.parameter(np.ones(3))
+        with Tape() as tape:
+            loss = T.sum_(T.mul(T.relu(a), a))
+            recorded = len(tape)
+            tape.backward(loss)
+            assert recorded == len(tape) == 3
+
+    def test_backward_releases_each_record_once_replayed(self):
+        a = T.parameter(np.ones(3))
+        with Tape() as tape:
+            hidden = T.relu(T.scale(a, 2.0))
+            dead = weakref.ref(hidden.data)
+            loss = T.sum_(hidden)
+            del hidden
+            tape.backward(loss)
+            assert dead() is None
+        np.testing.assert_allclose(a.grad, [2.0, 2.0, 2.0])
+
+    def test_a_gradient_handed_on_as_a_view_is_not_written_through(self):
+        a = T.parameter(np.array([1.0, 2.0]))
+        with Tape() as tape:
+            x = T.scale(a, 1.5)
+            squared = T.mul(x, x)
+            flat = T.reshape(x, (2, 1))   # replayed first: hands x a view of its gradient
+            tape.backward(T.add(T.sum_(flat), T.sum_(squared)))
+        np.testing.assert_array_equal(flat.grad, [[1.0], [1.0]])
+        np.testing.assert_allclose(x.grad, 1.0 + 2.0 * x.data)
+        assert not np.shares_memory(x.grad, flat.grad)
+
     def test_op_rejects_an_array_input(self):
         a = T.parameter(np.ones(3))
         with pytest.raises(GraphError, match="must be a Tensor"):
@@ -342,6 +372,36 @@ class TestConvAgainstIm2col:
         np.testing.assert_allclose(w.grad, gw, rtol=1e-10, atol=1e-10)
         if bias:
             np.testing.assert_allclose(b.grad, gb, rtol=1e-10, atol=1e-10)
+
+
+class TestOneTensorReadTwice:
+    """One intermediate tensor fed to two inputs: its first gradient must not
+    alias an array the backward hands to the other input as well."""
+
+    def run(self, seed, build):
+        with T.default_dtype(np.float64):
+            rng = np.random.default_rng(seed)
+            a = _param(rng, 3, 4)
+            check_gradients(lambda: scalarize(build(T.scale(a, 1.3))), [a], OP_TOL)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_add_of_one_tensor(self, seed):
+        self.run(seed, lambda x: T.add(x, x))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_mul_of_one_tensor(self, seed):
+        self.run(seed, lambda x: T.mul(x, x))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_concat_of_one_tensor(self, seed):
+        self.run(seed, lambda x: T.concat([x, x], axis=1))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_one_reshape_read_by_two_ops(self, seed):
+        def build(x):
+            flat = T.reshape(x, (-1,))
+            return T.add(T.exp(flat), T.mul(flat, flat))
+        self.run(seed, build)
 
 
 class TestOpGradients:

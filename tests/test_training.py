@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -330,24 +331,56 @@ class TestEpochLoop:
         assert seen == [0, 1, 2]
 
 
+def _desk_step():
+    """The default (desk) configuration, T = 32 snippets, every stream on:
+    (model, loss function of one video)."""
+    run = RunConfig()
+    syn = dataclasses.replace(run.synthetic, num_videos=1)
+    corpus = generate_corpus(syn)
+    seq = next(iter(corpus.features.values()))
+    annotation = corpus.annotations[seq.video_id]
+    rep = dataclasses.replace(run.representation, env_dim=syn.env_dim,
+                              actor_dim=syn.actor_dim, object_dim=syn.object_dim)
+    net = run.boundary.build(rep.feature_dim, seq.num_snippets)
+    model = ProposalModel(np.random.default_rng(0), rep, net)
+    labels = video_labels(annotation, net.num_snippets, net.resolved_max_duration())
+    assert seq.num_snippets == 32
+    return model, lambda: total_loss(model(seq), labels, run.training.mse_weight)[0]
+
+
 class TestTapeSize:
     def test_desk_step_records_at_most_200_ops(self):
-        # the default (desk) configuration: T = 32 snippets, every stream on
-        run = RunConfig()
-        syn = dataclasses.replace(run.synthetic, num_videos=1)
-        corpus = generate_corpus(syn)
-        seq = next(iter(corpus.features.values()))
-        annotation = corpus.annotations[seq.video_id]
-        rep = dataclasses.replace(run.representation, env_dim=syn.env_dim,
-                                  actor_dim=syn.actor_dim, object_dim=syn.object_dim)
-        net = run.boundary.build(rep.feature_dim, seq.num_snippets)
-        model = ProposalModel(np.random.default_rng(0), rep, net)
-        labels = video_labels(annotation, net.num_snippets, net.resolved_max_duration())
+        _, loss_fn = _desk_step()
         with Tape() as tape:
-            loss, _ = total_loss(model(seq), labels, run.training.mse_weight)
+            loss = loss_fn()
             tape.backward(loss)
-        assert seq.num_snippets == 32
         assert 0 < len(tape) <= 200
+
+
+class TestBackwardMemory:
+    def test_desk_step_frees_large_results_while_the_tape_is_open(self):
+        model, loss_fn = _desk_step()
+        with Tape() as tape:
+            loss = loss_fn()
+            large = [weakref.ref(rec.out.data) for rec in tape._records
+                     if rec.out.data.nbytes > 64 << 10]
+            recorded = len(tape)
+            tape.backward(loss, model.parameters())
+            assert len(large) >= 5
+            assert [ref for ref in large if ref() is not None] == []
+            assert len(tape) == recorded
+
+    def test_desk_step_gradients_own_their_memory(self):
+        model, loss_fn = _desk_step()
+        params = model.parameters()
+        with Tape() as tape:
+            tape.backward(loss_fn(), params)
+        for i, p in enumerate(params):
+            assert p.grad.shape == p.data.shape and p.grad.flags.writeable
+            for q in params:
+                assert not np.shares_memory(p.grad, q.data)
+            for q in params[i + 1:]:
+                assert not np.shares_memory(p.grad, q.grad)
 
 
 class TestCheckpointResume:
