@@ -429,19 +429,23 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 
 def scatter_mask(a: Tensor, mask) -> Tensor:
-    """Lay the last axis of ``a`` out over the true cells of a boolean mask.
+    """Lay the last axis of ``a`` out over the cells of a boolean mask.
 
-    ``a`` has shape (..., V) with V the mask's true count; the result has
-    shape (..., *mask.shape), its true cells filled in row-major order and
-    zeros elsewhere. It inverts ``x[..., mask]``, which is its backward.
+    ``a`` has shape (..., V + 1) with V the mask's true count; the result has
+    shape (..., *mask.shape). The true cells take entries 0..V-1 in row-major
+    order and every false cell takes the last entry. The backward gathers the
+    true cells back and sums the false cells' gradient into the last entry.
     """
     mask = np.asarray(mask, dtype=bool)
     cells = np.count_nonzero(mask)
-    if a.data.ndim < 1 or a.data.shape[-1] != cells:
-        raise ShapeError(f"shape {a.data.shape} does not end in the mask's {cells} true cells")
-    out = np.zeros(a.data.shape[:-1] + mask.shape, dtype=a.data.dtype)
-    out[..., mask] = a.data
-    return _from_op(out, (a,), lambda g: _accum(a, g[..., mask]))
+    if a.data.ndim < 1 or a.data.shape[-1] != cells + 1:
+        raise ShapeError(f"shape {a.data.shape} does not end in the mask's {cells} true cells + 1")
+    index = np.where(mask, np.cumsum(mask).reshape(mask.shape) - 1, cells)
+
+    def backward(g):
+        _accum(a, np.concatenate((g[..., mask], g[..., ~mask].sum(-1, keepdims=True)), -1))
+
+    return _from_op(np.take(a.data, index, axis=-1), (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,17 @@ duration d (row index d-1), ``num_samples`` points are placed along
 triangular interpolation between its two neighbouring snippet columns;
 columns outside [0, T-1] contribute zero. Cells that overrun the sequence
 (t + d > T) are all-zero and masked invalid. Because sampling is linear in
-the base sequence, it is one matmul with a precomputed constant, which
-keeps only the V valid cells' columns: (T, num_samples * V).
+the base sequence, it is one matmul with a precomputed constant: the V
+valid cells' columns and one all-zero "outside" column for every invalid
+cell, (T, num_samples * (V + 1)).
 
 The sample collapse (``sample_collapse``) holds the weight (out, channels,
 num_samples, 1, 1) and bias of a conv3d striding over the samples. The
 weight, flattened to (out, channels * num_samples), multiplies the sampled
-(channels * num_samples, V) matrix; the V result columns are laid out on the
-grid and the bias is added everywhere, so an invalid cell holds the bias
-alone, exactly what the convolution gives its all-zero input.
+(channels * num_samples, V + 1) matrix. The outside column collapses to the
+bias alone, the one vector every invalid cell holds, so the bias, ``relu``
+and the 1x1 ``grid1`` run once per distinct column; only grid1's output is
+laid out on the grid, its outside column filling every invalid cell.
 
 Grid cell (row r, column t) therefore covers the interval [t, t + r + 1] in
 snippet coordinates.
@@ -74,11 +76,11 @@ def valid_cells(num_snippets: int, max_duration: int) -> np.ndarray:
 
 def sampling_columns(num_snippets: int, max_duration: int, num_samples: int,
                      dtype=np.float64) -> np.ndarray:
-    """(T, num_samples, V) sampler weights of the V valid cells, in row-major cell order."""
+    """(T, num_samples, V + 1) weights: the V valid cells in row-major order, then all zeros."""
     r, t = np.nonzero(valid_cells(num_snippets, max_duration))
     positions = np.linspace(t, t + r + 1, num_samples, axis=-1)   # (cells, samples)
     lo = np.floor(positions).astype(np.int64)
-    w = np.zeros((num_snippets, num_samples, r.size), dtype=dtype)
+    w = np.zeros((num_snippets, num_samples, r.size + 1), dtype=dtype)
     for j in (lo, lo + 1):
         # positions lie in [0, T], so only the upper neighbour can fall outside
         cell, sample = np.nonzero(j < num_snippets)
@@ -92,7 +94,7 @@ def build_sampling_weights(num_snippets: int, max_duration: int,
     """Dense float64 array (T, num_samples, max_duration, T) realizing the sampler."""
     w = np.zeros((num_snippets, num_samples, max_duration, num_snippets))
     w[..., valid_cells(num_snippets, max_duration)] = sampling_columns(
-        num_snippets, max_duration, num_samples)
+        num_snippets, max_duration, num_samples)[..., :-1]
     return w
 
 
@@ -147,7 +149,7 @@ class BoundaryNet(Module):
         self.grid3 = Conv2d(rng, cfg.proposal_conv2d_hidden, 1, 1)
         self._valid = valid_cells(cfg.num_snippets, d)
         cells = sampling_columns(cfg.num_snippets, d, cfg.num_samples, T.get_default_dtype())
-        self._sampling = T.constant(cells.reshape(cfg.num_snippets, -1))   # (T, n*V)
+        self._sampling = T.constant(cells.reshape(cfg.num_snippets, -1))   # (T, n*(V+1))
 
     def __call__(self, features: Tensor) -> BoundaryNetOutput:
         cfg = self.cfg
@@ -165,12 +167,12 @@ class BoundaryNet(Module):
 
         c3d = cfg.proposal_conv3d_out
         collapse = self.sample_collapse
-        sampled = T.matmul(base, self._sampling)                     # (trunk_out, n*V)
+        sampled = T.matmul(base, self._sampling)                     # (trunk_out, n*(V+1))
         sampled = T.reshape(sampled, (cfg.trunk_out * cfg.num_samples, -1))
-        x = T.matmul(T.reshape(collapse.weight, (c3d, -1)), sampled)  # (c3d, V)
-        x = T.add(T.scatter_mask(x, self._valid), T.reshape(collapse.bias, (c3d, 1, 1)))
-        x = T.relu(x)                                                # (c3d, d, T)
-        x = T.relu(self.grid1(x))
-        x = T.relu(self.grid2(x))
+        x = T.matmul(T.reshape(collapse.weight, (c3d, -1)), sampled)  # (c3d, V+1)
+        x = T.relu(T.add(x, T.reshape(collapse.bias, (c3d, 1))))
+        x = T.relu(self.grid1(T.reshape(x, (c3d, 1, -1))))           # (h, 1, V+1)
+        x = T.scatter_mask(T.reshape(x, (cfg.proposal_conv2d_hidden, -1)), self._valid)
+        x = T.relu(self.grid2(x))                                    # (h, d, T)
         actionness = T.reshape(T.sigmoid(self.grid3(x)), (d, cfg.num_snippets))
         return BoundaryNetOutput(start, end, actionness, self._valid)

@@ -74,9 +74,15 @@ def load_annotations(path) -> dict[str, VideoAnnotation]:
     out: dict[str, VideoAnnotation] = {}
     for video_id, rec in raw.items():
         try:
+            listed, subset = rec.get("annotations", []), rec.get("subset", "training")
+            if (not isinstance(listed, list) or not isinstance(subset, str)
+                    or any(isinstance(rec[k], bool) for k in ("duration", "fps", "frame_count"))
+                    or not all(isinstance(a["label"], str) for a in listed)):
+                raise TypeError("need an annotations list, string subset and labels, "
+                                "and non-boolean duration, fps and frame_count")
             actions = [
-                ActionInstance(float(a["segment"][0]), float(a["segment"][1]), str(a["label"]))
-                for a in rec.get("annotations", [])
+                ActionInstance(float(a["segment"][0]), float(a["segment"][1]), a["label"])
+                for a in listed
             ]
             video = VideoAnnotation(
                 video_id=video_id,
@@ -84,7 +90,7 @@ def load_annotations(path) -> dict[str, VideoAnnotation]:
                 fps=float(rec["fps"]),
                 frame_count=int(rec["frame_count"]),
                 annotations=actions,
-                subset=str(rec.get("subset", "training")),
+                subset=subset,
             )
         except (AttributeError, KeyError, TypeError, IndexError, ValueError) as err:
             raise AnnotationError(f"{path}: malformed record for {video_id!r} ({err})") from err

@@ -66,6 +66,48 @@ class TestSchema:
             load_annotations(path)
 
 
+class TestLooseFields:
+    """Values that Python would coerce without complaint (``float(True)``,
+    iterating ``""``, ``str(7)``) are rejected, naming the file and video."""
+
+    RECORD = {"duration": 24.0, "fps": 8.0, "frame_count": 192, "subset": "validation",
+              "annotations": [{"segment": [3.0, 7.0], "label": "swing"}]}
+
+    def _load(self, tmp_path, **overrides):
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps({"v7": {**self.RECORD, **overrides}}))
+        return load_annotations(path)
+
+    def _rejects(self, tmp_path, **overrides):
+        with pytest.raises(AnnotationError, match=r"loose\.json: .*'v7'"):
+            self._load(tmp_path, **overrides)
+
+    def test_valid_record_loads(self, tmp_path):
+        video = self._load(tmp_path)["v7"]
+        assert (video.duration, video.fps, video.frame_count) == (24.0, 8.0, 192)
+        assert video.subset == "validation"
+        assert video.annotations == [ActionInstance(3.0, 7.0, "swing")]
+        whole = self._load(tmp_path, duration=24, fps=8, frame_count=192)["v7"]
+        assert (whole.duration, whole.fps, whole.frame_count) == (24.0, 8.0, 192)
+
+    @pytest.mark.parametrize("field", ["duration", "fps", "frame_count"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_metadata_rejected(self, tmp_path, field, flag):
+        self._rejects(tmp_path, **{field: flag})
+
+    @pytest.mark.parametrize("listed", ["", "swing", {"segment": [3.0, 7.0], "label": "a"}, 0])
+    def test_non_list_annotations_rejected(self, tmp_path, listed):
+        self._rejects(tmp_path, annotations=listed)
+
+    @pytest.mark.parametrize("label", [7, None, True, ["swing"]])
+    def test_non_string_label_rejected(self, tmp_path, label):
+        self._rejects(tmp_path, annotations=[{"segment": [3.0, 7.0], "label": label}])
+
+    @pytest.mark.parametrize("subset", [1, None, False, ["training"]])
+    def test_non_string_subset_rejected(self, tmp_path, subset):
+        self._rejects(tmp_path, subset=subset)
+
+
 class TestValidation:
     def test_inverted_segment_rejected(self):
         video = _video(annotations=[ActionInstance(7.0, 3.0, "x")])

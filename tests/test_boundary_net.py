@@ -247,11 +247,14 @@ class TestValidCellMatching:
         net = self._net(*grid)
         valid = valid_cells(num_snippets, max_duration)
         cells = int(valid.sum())
-        assert net._sampling.data.shape == (num_snippets, num_samples * cells)
+        assert net._sampling.data.shape == (num_snippets, num_samples * (cells + 1))
         assert net._sampling.data.dtype == T.get_default_dtype()
         weights = build_sampling_weights(num_snippets, max_duration, num_samples)
-        assert np.array_equal(net._sampling.data, weights[..., valid].reshape(
-            num_snippets, -1).astype(T.get_default_dtype()))
+        columns = net._sampling.data.reshape(num_snippets, num_samples, cells + 1)
+        assert np.array_equal(columns[..., :-1],
+                              weights[..., valid].astype(T.get_default_dtype()))
+        # each sample's outside column, which every invalid cell reads, is all zero
+        assert np.array_equal(columns[..., -1], np.zeros((num_snippets, num_samples)))
         if cells < max_duration * num_snippets:   # else the two constants coincide
             dense = num_snippets * num_samples * max_duration * num_snippets
             assert all(a.size != dense for a in _held_arrays(net))

@@ -198,12 +198,24 @@ class TestValueSemantics:
 
     def test_scatter_mask_lays_columns_out_row_major(self):
         mask = np.array([[True, False, True], [False, True, False]])
-        x = Tensor(np.arange(6.0).reshape(2, 3))
+        x = Tensor(np.arange(8.0).reshape(2, 4))
         got = T.scatter_mask(x, mask).data
-        np.testing.assert_array_equal(got[0], [[0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
-        np.testing.assert_array_equal(got[:, mask], x.data)
-        with pytest.raises(ShapeError):
-            T.scatter_mask(Tensor(np.ones((2, 4))), mask)
+        np.testing.assert_array_equal(got[0], [[0.0, 3.0, 1.0], [3.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(got[:, mask], x.data[:, :-1])
+        np.testing.assert_array_equal(got[:, ~mask], np.repeat(x.data[:, -1:], 3, axis=1))
+        for width in (3, 5):   # the input must end in V + 1 = 4 entries
+            with pytest.raises(ShapeError):
+                T.scatter_mask(Tensor(np.ones((2, width))), mask)
+
+    def test_scatter_mask_without_false_cells_leaves_the_last_entry_unused(self):
+        full = np.ones((2, 2), dtype=bool)
+        a = T.parameter(np.arange(10.0).reshape(2, 5))
+        with Tape() as tape:
+            grid = T.scatter_mask(a, full)
+            np.testing.assert_array_equal(grid.data, a.data[:, :-1].reshape(2, 2, 2))
+            tape.backward(T.sum_(T.mul(grid, grid)))
+        np.testing.assert_array_equal(a.grad[:, :-1], 2.0 * a.data[:, :-1])
+        np.testing.assert_array_equal(a.grad[:, -1], 0.0)
 
     def test_transpose_needs_matrix(self):
         with pytest.raises(ShapeError):
@@ -543,7 +555,7 @@ class TestOpGradients:
     def test_scatter_mask(self, seed):
         def build(rng):
             mask = rng.random((3, 4)) < 0.5
-            a = _param(rng, 2, int(mask.sum()))
+            a = _param(rng, 2, int(mask.sum()) + 1)
 
             def forward():
                 grid = T.scatter_mask(a, mask)          # (2, 3, 4)

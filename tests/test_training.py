@@ -370,6 +370,27 @@ class TestBackwardMemory:
             assert [ref for ref in large if ref() is not None] == []
             assert len(tape) == recorded
 
+    def test_desk_step_has_no_collapse_width_array_over_the_grid(self, monkeypatch):
+        # every invalid cell shares one column up to grid1, so no forward
+        # result or gradient spans (proposal_conv3d_out, D, T)
+        model, loss_fn = _desk_step()
+        cfg = model.boundary_net.cfg
+        full = (cfg.proposal_conv3d_out, cfg.resolved_max_duration(), cfg.num_snippets)
+        accum, grads = T._accum, []
+
+        def seen(tensor, g):
+            grads.append(np.shape(g))
+            accum(tensor, g)
+
+        monkeypatch.setattr(T, "_accum", seen)
+        with Tape() as tape:
+            loss = loss_fn()
+            shapes = [rec.out.data.shape for rec in tape._records]
+            tape.backward(loss, model.parameters())
+        assert full == (128, 32, 32)
+        assert len(shapes) == len(tape) and full not in shapes
+        assert len(grads) >= len(shapes) and full not in grads
+
     def test_desk_step_gradients_own_their_memory(self):
         model, loss_fn = _desk_step()
         params = model.parameters()
