@@ -13,8 +13,9 @@ before building a model.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -500,6 +501,73 @@ def l2_norm(a: Tensor, axis: int = -1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# fused loss terms
+# ---------------------------------------------------------------------------
+
+def _per_entry(pred: Tensor, values):
+    """A constant array, flat, in the tensor precision, one value per entry of ``pred``."""
+    if values is None:
+        return None
+    values = np.asarray(values, dtype=get_default_dtype()).reshape(-1)
+    if values.size != pred.data.size:
+        raise ShapeError(f"{values.size} values for {pred.data.size} predictions")
+    return values
+
+
+def binary_cross_entropy(pred: Tensor, pos_weights, neg_weights,
+                         lo: float, hi: float) -> Tensor:
+    """Weighted binary cross entropy of probabilities, as one op.
+
+    With q = clip(pred, lo, hi) flattened, the scalar is
+    ``-(sum(pos_weights * log(q)) + sum(neg_weights * log(1 - q)))``; a
+    weight array of None drops its term (not both). The forward runs the
+    elementwise steps of that expression one by one, in that order. The
+    backward passes no gradient to an entry at or beyond ``lo`` or ``hi``,
+    as ``clip`` does.
+    """
+    if pos_weights is None and neg_weights is None:
+        raise EmptyInputError("binary cross entropy without a term")
+    pos, neg = _per_entry(pred, pos_weights), _per_entry(pred, neg_weights)
+    raw = pred.data.reshape(-1)
+    q = np.clip(raw, lo, hi)
+    one_minus = None if neg is None else 1.0 - q
+    terms = []
+    if pos is not None:
+        terms.append((pos * np.log(q)).sum())
+    if neg is not None:
+        terms.append((neg * np.log(one_minus)).sum())
+    out = -(terms[0] + terms[1]) if len(terms) == 2 else -terms[0]
+
+    def backward(g):
+        g = -g
+        dq = None if pos is None else (g * pos) / q
+        if neg is not None:
+            dneg = -((g * neg) / one_minus)
+            dq = dneg if dq is None else dneg + dq
+        _accum(pred, (dq * ((raw > lo) & (raw < hi))).reshape(pred.data.shape))
+
+    return _from_op(out, (pred,), backward)
+
+
+def clipped_mse(pred: Tensor, target, lo: float, hi: float) -> Tensor:
+    """Mean of (clip(pred, lo, hi) - target)^2 over all entries, as one op.
+
+    The backward passes no gradient to an entry at or beyond ``lo`` or
+    ``hi``, as ``clip`` does.
+    """
+    target = _per_entry(pred, target)
+    raw = pred.data.reshape(-1)
+    diff = np.clip(raw, lo, hi) - target
+    count = diff.size
+
+    def backward(g):
+        half = (g / count) * diff
+        _accum(pred, ((half + half) * ((raw > lo) & (raw < hi))).reshape(pred.data.shape))
+
+    return _from_op((diff * diff).mean(), (pred,), backward)
+
+
+# ---------------------------------------------------------------------------
 # matrix product
 # ---------------------------------------------------------------------------
 
@@ -555,9 +623,88 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _from_op(out, inputs, backward)
 
 
+def sample_collapse(base: Tensor, weight: Tensor, sampling: Tensor) -> Tensor:
+    """Read ``base`` through a fixed sampling matrix, then collapse the samples.
+
+    ``base`` is (c, T); ``sampling`` is a constant (T, n * m) whose column
+    ``j * m + v`` places sample j of output column v; ``weight`` is
+    (o, c, n, ...) with trailing extents of 1, a conv filter striding over
+    the n samples. The (o, m) result is
+
+        out[o, v] = sum over (i, j) of weight[o, i, j] * (base @ sampling)[i, j * m + v]
+
+    computed as those two products, in that order. The backward never forms
+    the (c * n, m) sampled matrix or its gradient: it maps the output
+    gradient back through the sampling matrix once, as dM (o, T, n), and
+    takes the weight and base gradients from dM with two small products.
+    """
+    if sampling.requires_grad:
+        raise GraphError("sample_collapse reads a constant sampling matrix")
+    if base.data.ndim != 2 or sampling.data.ndim != 2 or weight.data.ndim < 3:
+        raise ShapeError("sample_collapse expects base (c, T), weight (o, c, n, ...) "
+                         "and sampling (T, n * m)")
+    (c, t), o, n = base.data.shape, weight.data.shape[0], weight.data.shape[2]
+    if (weight.data.shape[1] != c or weight.data.size != o * c * n
+            or sampling.data.shape[0] != t or sampling.data.shape[1] % n):
+        raise ShapeError(f"sample_collapse extents disagree: base {base.data.shape}, "
+                         f"weight {weight.data.shape}, sampling {sampling.data.shape}")
+    m = sampling.data.shape[1] // n
+    w = weight.data.reshape(o, c * n)
+    out = w @ (base.data @ sampling.data).reshape(c * n, m)
+
+    def backward(g):
+        dm = (g @ sampling.data.reshape(t * n, m).T).reshape(o, t, n)
+        if weight.requires_grad:
+            _accum(weight, np.matmul(base.data, dm).reshape(weight.data.shape))
+        if base.requires_grad:
+            w_by_channel = np.ascontiguousarray(w.reshape(o, c, n).transpose(1, 0, 2))
+            _accum(base, w_by_channel.reshape(c, o * n) @ dm.transpose(0, 2, 1).reshape(o * n, t))
+
+    return _from_op(out, (base, weight), backward)
+
+
 # ---------------------------------------------------------------------------
 # cross-correlation (1/2/3-D), machine-learning "convolution"
 # ---------------------------------------------------------------------------
+
+class _ConvGeometry(NamedTuple):
+    shifts: tuple     # flat input offset of each kernel offset, row-major
+    span: int         # flat length of the stride-1 output on padded rows
+    buffer: tuple     # padded input extents, plus the spare row if any
+    copy: bool        # whether the input must be copied into such a buffer
+    interior: tuple   # where the input sits in that buffer
+    grid: tuple       # stride-1 output extents on padded rows
+    keep: tuple       # the strided output positions on that grid
+
+
+@functools.lru_cache(maxsize=64)
+def _conv_geometry(spatial: tuple, kernel: tuple, stride: tuple,
+                   padding: tuple) -> _ConvGeometry:
+    """Layout of a shift-and-matmul correlation; depends on extents only.
+
+    Stride-1 correlation over the flat padded input: kernel offset k reads
+    output position o at o + shift(k), one matmul over a contiguous slice.
+    Output rows keep the padded row length; the junk columns are cropped and
+    the strided positions picked after. A spare zero row covers the overrun.
+    """
+    rank = len(kernel)
+    padded = tuple(e + 2 * p for e, p in zip(spatial, padding))
+    full = tuple(e - k + 1 for e, k in zip(padded, kernel))
+    if min(full) <= 0:
+        raise ShapeError(f"conv{rank}d output extent <= 0 for input {spatial}, kernel {kernel}")
+    steps = np.cumprod((1,) + padded[:0:-1])[::-1]
+    shifts = tuple(int(np.dot(k, steps)) for k in np.ndindex(*kernel))
+    span = full[0] * int(steps[0])
+    spare = int(shifts[-1] + span > np.prod(padded))
+    return _ConvGeometry(
+        shifts=shifts, span=span,
+        buffer=(padded[0] + spare,) + padded[1:],
+        copy=bool(any(padding) or spare),
+        interior=(slice(None),) + tuple(slice(p, p + e) for p, e in zip(padding, spatial)),
+        grid=(full[0],) + padded[1:],
+        keep=(slice(None),) + tuple(slice(0, f, s) for f, s in zip(full, stride)),
+    )
+
 
 def _conv_nd(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, rank: int):
     if x.data.ndim != rank + 1:
@@ -576,24 +723,11 @@ def _conv_nd(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, ra
         raise ShapeError(f"conv{rank}d stride must be >= 1, got {stride}")
     if min(padding) < 0:
         raise ShapeError(f"conv{rank}d padding must be >= 0, got {padding}")
-    kernel = weight.data.shape[2:]
-    spatial = x.data.shape[1:]
-    padded = tuple(e + 2 * p for e, p in zip(spatial, padding))
-    full = tuple(e - k + 1 for e, k in zip(padded, kernel))  # stride-1 output extents
-    if min(full) <= 0:
-        raise ShapeError(f"conv{rank}d output extent <= 0 for input {spatial}, kernel {kernel}")
+    geo = _conv_geometry(x.data.shape[1:], weight.data.shape[2:], stride, padding)
+    shifts, span, interior, keep = geo.shifts, geo.span, geo.interior, geo.keep
 
-    # Stride-1 correlation over the flat padded input: kernel offset k reads
-    # output position o at o + shift(k), one matmul over a contiguous slice.
-    # Output rows keep the padded row length; the junk columns are cropped and
-    # the strided positions picked after. A spare zero row covers the overrun.
-    steps = np.cumprod((1,) + padded[:0:-1])[::-1]
-    shifts = [int(np.dot(k, steps)) for k in np.ndindex(*kernel)]
-    span = full[0] * int(steps[0])
-    spare = int(shifts[-1] + span > np.prod(padded))
-    interior = (slice(None),) + tuple(slice(p, p + e) for p, e in zip(padding, spatial))
-    if any(padding) or spare:
-        xp = np.zeros((c_in, padded[0] + spare) + padded[1:], dtype=x.data.dtype)
+    if geo.copy:
+        xp = np.zeros((c_in,) + geo.buffer, dtype=x.data.dtype)
         xp[interior] = x.data
     else:
         xp = x.data
@@ -604,8 +738,7 @@ def _conv_nd(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, ra
         of += w @ xf[:, s:s + span]
     if bias is not None:
         of += bias.data[:, None]
-    grid = (c_out, full[0]) + padded[1:]
-    keep = (slice(None),) + tuple(slice(0, f, s) for f, s in zip(full, stride))
+    grid = (c_out,) + geo.grid
     out = of.reshape(grid)[keep]
 
     def backward(g):

@@ -16,12 +16,17 @@ valid cells' columns and one all-zero "outside" column for every invalid
 cell, (T, num_samples * (V + 1)).
 
 The sample collapse (``sample_collapse``) holds the weight (out, channels,
-num_samples, 1, 1) and bias of a conv3d striding over the samples. The
-weight, flattened to (out, channels * num_samples), multiplies the sampled
-(channels * num_samples, V + 1) matrix. The outside column collapses to the
-bias alone, the one vector every invalid cell holds, so the bias, ``relu``
-and the 1x1 ``grid1`` run once per distinct column; only grid1's output is
-laid out on the grid, its outside column filling every invalid cell.
+num_samples, 1, 1) and bias of a conv3d striding over the samples. Sampling
+and collapse are one op, ``T.sample_collapse``: its forward multiplies the
+base sequence by the constant, then the weight, flattened to (out, channels *
+num_samples), by the sampled (channels * num_samples, V + 1) matrix. Its
+backward maps the output gradient back through the constant once, to
+(out, T, num_samples), and reads the weight and base gradients from that
+with two small products, so a training step neither keeps the sampled
+matrix nor forms its gradient. The outside column collapses to the bias
+alone, the one vector every invalid cell holds, so the bias, ``relu`` and
+the 1x1 ``grid1`` run once per distinct column; only grid1's output is laid
+out on the grid, its outside column filling every invalid cell.
 
 Grid cell (row r, column t) therefore covers the interval [t, t + r + 1] in
 snippet coordinates.
@@ -167,9 +172,7 @@ class BoundaryNet(Module):
 
         c3d = cfg.proposal_conv3d_out
         collapse = self.sample_collapse
-        sampled = T.matmul(base, self._sampling)                     # (trunk_out, n*(V+1))
-        sampled = T.reshape(sampled, (cfg.trunk_out * cfg.num_samples, -1))
-        x = T.matmul(T.reshape(collapse.weight, (c3d, -1)), sampled)  # (c3d, V+1)
+        x = T.sample_collapse(base, collapse.weight, self._sampling)  # (c3d, V+1)
         x = T.relu(T.add(x, T.reshape(collapse.bias, (c3d, 1))))
         x = T.relu(self.grid1(T.reshape(x, (c3d, 1, -1))))           # (h, 1, V+1)
         x = T.scatter_mask(T.reshape(x, (cfg.proposal_conv2d_hidden, -1)), self._valid)

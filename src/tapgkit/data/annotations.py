@@ -20,6 +20,7 @@ axis, so :func:`rescale_action` maps seconds onto that axis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,6 +64,20 @@ class VideoAnnotation:
             action.validate(self.duration, f"{self.video_id} action {i}")
 
 
+def _number(value) -> float:
+    """A finite JSON number as a float; a string, a boolean or null is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(value) -> int:
+    """A JSON number with no fractional part as an int."""
+    if isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"expected a whole number, got {value!r}")
+    return int(_number(value))
+
+
 def load_annotations(path) -> dict[str, VideoAnnotation]:
     path = Path(path)
     try:
@@ -76,23 +91,21 @@ def load_annotations(path) -> dict[str, VideoAnnotation]:
         try:
             listed, subset = rec.get("annotations", []), rec.get("subset", "training")
             if (not isinstance(listed, list) or not isinstance(subset, str)
-                    or any(isinstance(rec[k], bool) for k in ("duration", "fps", "frame_count"))
                     or not all(isinstance(a["label"], str) for a in listed)):
-                raise TypeError("need an annotations list, string subset and labels, "
-                                "and non-boolean duration, fps and frame_count")
+                raise TypeError("need an annotations list, a string subset and string labels")
             actions = [
-                ActionInstance(float(a["segment"][0]), float(a["segment"][1]), a["label"])
+                ActionInstance(_number(a["segment"][0]), _number(a["segment"][1]), a["label"])
                 for a in listed
             ]
             video = VideoAnnotation(
                 video_id=video_id,
-                duration=float(rec["duration"]),
-                fps=float(rec["fps"]),
-                frame_count=int(rec["frame_count"]),
+                duration=_number(rec["duration"]),
+                fps=_number(rec["fps"]),
+                frame_count=_count(rec["frame_count"]),
                 annotations=actions,
                 subset=subset,
             )
-        except (AttributeError, KeyError, TypeError, IndexError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, IndexError) as err:
             raise AnnotationError(f"{path}: malformed record for {video_id!r} ({err})") from err
         video.validate()
         out[video_id] = video

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -114,11 +113,13 @@ def video_labels(annotation: VideoAnnotation, num_snippets: int,
 # ---------------------------------------------------------------------------
 
 def weighted_binary_loss(pred: Tensor, labels: np.ndarray) -> tuple[Tensor, bool]:
-    """Count-balanced binary cross entropy.
+    """Count-balanced binary cross entropy, one ``T.binary_cross_entropy`` op.
 
-    Positives and negatives are each averaged over their own population. When
-    one population is empty its term is dropped; the returned flag reports
-    that degenerate case.
+    Positives and negatives are each averaged over their own population, on
+    the prediction clipped to ``[PROBABILITY_FLOOR, 1 - PROBABILITY_FLOOR]``;
+    an entry at or beyond either bound passes no gradient back. When one
+    population is empty its term is dropped; the returned flag reports that
+    degenerate case.
     """
     labels = np.asarray(labels, dtype=np.float64).ravel()
     if labels.size == 0:
@@ -127,18 +128,14 @@ def weighted_binary_loss(pred: Tensor, labels: np.ndarray) -> tuple[Tensor, bool
         raise ShapeError(f"{pred.data.size} predictions for {labels.size} labels")
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
-    p = T.clip(T.reshape(pred, (-1,)), PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
-    terms = []
-    if n_pos:
-        terms.append(T.sum_(T.mul(T.constant(labels / n_pos), T.log(p))))
-    if n_neg:
-        one_minus = T.sub(T.constant(np.ones_like(labels)), p)
-        terms.append(T.sum_(T.mul(T.constant((1.0 - labels) / n_neg), T.log(one_minus))))
-    degenerate = len(terms) < 2
+    degenerate = not (n_pos and n_neg)
     if degenerate:
         log.warning("one-sided labels (%d positive / %d negative): term dropped",
                     n_pos, n_neg)
-    return T.neg(reduce(T.add, terms)), degenerate
+    loss = T.binary_cross_entropy(
+        pred, labels / n_pos if n_pos else None, (1.0 - labels) / n_neg if n_neg else None,
+        PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
+    return loss, degenerate
 
 
 def proposal_grid_loss(pred: Tensor, labels: np.ndarray, valid: np.ndarray,
@@ -149,7 +146,9 @@ def proposal_grid_loss(pred: Tensor, labels: np.ndarray, valid: np.ndarray,
     1 - PROBABILITY_FLOOR]``, so a cell with p < 1e-7 or p > 1 - 1e-7 adds
     the MSE of the clipped value and passes no gradient back. Unclipped, the
     MSE gradient of a saturated sigmoid turns subnormal in float32 on its way
-    back and slows every matrix product it reaches.
+    back and slows every matrix product it reaches. Each term is one op
+    (``T.binary_cross_entropy``, ``T.clipped_mse``) with an analytic
+    backward.
 
     Returns (combined, cross_entropy_part, mse_part, degenerate_flag).
     """
@@ -161,9 +160,7 @@ def proposal_grid_loss(pred: Tensor, labels: np.ndarray, valid: np.ndarray,
     flat = T.gather_rows(T.reshape(pred, (-1,)), idx)
     flat_labels = labels.ravel()[idx]
     wb, degenerate = weighted_binary_loss(flat, flat_labels)
-    clipped = T.clip(flat, PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
-    diff = T.sub(clipped, T.constant(flat_labels))
-    mse = T.mean(T.mul(diff, diff))
+    mse = T.clipped_mse(flat, flat_labels, PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
     return T.add(wb, T.scale(mse, mse_weight)), wb, mse, degenerate
 
 

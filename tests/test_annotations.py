@@ -107,6 +107,26 @@ class TestLooseFields:
     def test_non_string_subset_rejected(self, tmp_path, subset):
         self._rejects(tmp_path, subset=subset)
 
+    @pytest.mark.parametrize("field,text", [("duration", "24"), ("fps", "8"),
+                                            ("frame_count", "192")])
+    def test_numeric_string_metadata_rejected(self, tmp_path, field, text):
+        self._rejects(tmp_path, **{field: text})
+
+    @pytest.mark.parametrize("segment", [["3", "7"], [3.0, "7"], "37", [3.0, None]])
+    def test_non_number_segment_rejected(self, tmp_path, segment):
+        self._rejects(tmp_path, annotations=[{"segment": segment, "label": "swing"}])
+
+    @pytest.mark.parametrize("frame_count", [192.9, 191.5, float("inf")])
+    def test_fractional_frame_count_rejected(self, tmp_path, frame_count):
+        self._rejects(tmp_path, frame_count=frame_count)
+
+    @pytest.mark.parametrize("field", ["duration", "fps"])
+    def test_infinite_metadata_rejected(self, tmp_path, field):
+        self._rejects(tmp_path, **{field: float("inf")})
+
+    def test_whole_float_frame_count_loads(self, tmp_path):
+        assert self._load(tmp_path, frame_count=192.0)["v7"].frame_count == 192
+
 
 class TestValidation:
     def test_inverted_segment_rejected(self):

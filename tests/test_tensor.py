@@ -1,14 +1,18 @@
 """Tensor library: op semantics, tape behavior, gradients vs finite differences."""
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
 import pytest
 
+import tapgkit.autodiff
 from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.tensor import Tape, Tensor
+from tapgkit.boundary_net import sampling_columns
 from tapgkit.errors import EmptyInputError, GraphError, ShapeError
+from tapgkit.training import PROBABILITY_FLOOR
 
 from gradcheck import check_gradients, scalarize
 
@@ -597,3 +601,280 @@ class TestOpGradients:
             w = _param(rng, 2, 2, 4, 1, 1)
             return (lambda: scalarize(T.conv3d(x, w, None, stride=(4, 1, 1)))), [x, w]
         self.run(seed, build)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mean_pool(self, seed):
+        def build(rng):
+            a = _param(rng, 3, 4)
+            return (lambda: scalarize(T.mean_pool(a, axis=1))), [a]
+        self.run(seed, build)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sample_collapse(self, seed):
+        # a 5-snippet grid: 12 valid cells, 3 invalid ones reading the shared
+        # all-zero outside column
+        def build(rng):
+            sampling = T.constant(sampling_columns(5, 4, 3).reshape(5, -1))
+            base = _param(rng, 2, 5)
+            weight = _param(rng, 4, 2, 3, 1, 1)
+            return (lambda: scalarize(T.sample_collapse(base, weight, sampling))), [base, weight]
+        self.run(seed, build)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_binary_cross_entropy(self, seed):
+        def build(rng):
+            a = T.parameter(rng.uniform(0.05, 0.95, size=7))
+            pos = rng.uniform(size=7) * (rng.uniform(size=7) < 0.5)
+            neg = rng.uniform(size=7)
+            return (lambda: T.binary_cross_entropy(a, pos, neg, 0.01, 0.99)), [a]
+        self.run(seed, build)
+
+    @pytest.mark.parametrize("side", ["pos", "neg"])
+    def test_binary_cross_entropy_one_sided(self, side):
+        def build(rng):
+            a = T.parameter(rng.uniform(0.05, 0.95, size=(2, 3)))
+            w = rng.uniform(size=6)
+            pos, neg = (w, None) if side == "pos" else (None, w)
+            return (lambda: T.binary_cross_entropy(a, pos, neg, 0.01, 0.99)), [a]
+        self.run(5, build)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clipped_mse(self, seed):
+        def build(rng):
+            a = T.parameter(rng.uniform(0.05, 0.95, size=(3, 3)))
+            target = (rng.uniform(size=9) < 0.3).astype(np.float64)
+            return (lambda: T.clipped_mse(a, target, 0.01, 0.99)), [a]
+        self.run(seed, build)
+
+
+def test_every_exported_op_has_a_gradient_check():
+    """An op exported from ``tapgkit.autodiff`` is named in TestOpGradients."""
+    not_ops = {"constant", "parameter", "default_dtype", "get_default_dtype",
+               "set_default_dtype"}
+    ops = {name for name in tapgkit.autodiff.__all__
+           if inspect.isfunction(getattr(tapgkit.autodiff, name))
+           and getattr(tapgkit.autodiff, name).__module__ == T.__name__} - not_ops
+    assert {"add", "conv3d", "sample_collapse", "clipped_mse"} <= ops
+    checked = inspect.getsource(TestOpGradients)
+    assert sorted(name for name in ops if f"T.{name}(" not in checked) == []
+
+
+def _composed_collapse(base, weight, sampling):
+    """The matching layer as plain ops: two products around a reshape."""
+    o, c, n = weight.shape[:3]
+    sampled = T.reshape(T.matmul(base, sampling), (c * n, -1))
+    return T.matmul(T.reshape(weight, (o, -1)), sampled)
+
+
+def _composed_bce(pred, pos, neg, lo, hi):
+    """Weighted binary cross entropy as plain ops, one record per step."""
+    p = T.clip(T.reshape(pred, (-1,)), lo, hi)
+    terms = []
+    if pos is not None:
+        terms.append(T.sum_(T.mul(T.constant(pos), T.log(p))))
+    if neg is not None:
+        one_minus = T.sub(T.constant(np.ones(p.shape)), p)
+        terms.append(T.sum_(T.mul(T.constant(neg), T.log(one_minus))))
+    return T.neg(terms[0] if len(terms) == 1 else T.add(*terms))
+
+
+def _composed_mse(pred, target, lo, hi):
+    diff = T.sub(T.clip(T.reshape(pred, (-1,)), lo, hi), T.constant(target))
+    return T.mean(T.mul(diff, diff))
+
+
+def _run(op, value, *args):
+    """(output, gradient of a weighted sum) of ``op`` at ``value``."""
+    x = T.parameter(value)
+    with Tape() as tape:
+        out = op(x, *args)
+        weights = T.constant(np.linspace(0.5, 1.5, out.size).reshape(out.shape))
+        tape.backward(T.sum_(T.mul(out, weights)))
+    return out.data, x.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestFusedOpsAgainstCompositions:
+    """The fused ops run the same forward arithmetic as the ops they replace."""
+
+    LO, HI = PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR
+
+    def _probabilities(self, rng, size):
+        p = rng.uniform(size=size)
+        p.flat[:4] = [0.0, 1.0, 1e-9, 1.0 - 1e-9]   # beyond the clip bounds
+        return p
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sample_collapse_forward(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        with T.default_dtype(dtype):
+            sampling = T.constant(sampling_columns(12, 12, 8, dtype).reshape(12, -1))
+            base = T.parameter(rng.standard_normal((6, 12)))
+            weight = T.parameter(rng.standard_normal((10, 6, 8, 1, 1)))
+            with Tape() as tape:
+                fused = T.sample_collapse(base, weight, sampling)
+                assert len(tape) == 1
+            composed = _composed_collapse(base, weight, sampling)
+        assert fused.data.dtype == dtype
+        np.testing.assert_array_equal(fused.data, composed.data)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sample_collapse_gradients_up_to_rounding(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        with T.default_dtype(dtype):
+            sampling = T.constant(sampling_columns(12, 12, 8, dtype).reshape(12, -1))
+            base_np, weight_np = rng.standard_normal((6, 12)), rng.standard_normal((10, 6, 8, 1, 1))
+            grads = []
+            for op in (T.sample_collapse, _composed_collapse):
+                base, weight = T.parameter(base_np), T.parameter(weight_np)
+                with Tape() as tape:
+                    tape.backward(scalarize(op(base, weight, sampling)))
+                grads.append((base.grad, weight.grad))
+        rtol = 1e-5 if dtype == np.float32 else 1e-12
+        for fused, composed in zip(*grads):
+            np.testing.assert_allclose(fused, composed, rtol=rtol,
+                                       atol=rtol * np.abs(composed).max())
+
+    @pytest.mark.parametrize("sides", ["both", "pos", "neg"])
+    def test_binary_cross_entropy_value_and_gradient(self, dtype, sides):
+        rng = np.random.default_rng(len(sides))
+        p = self._probabilities(rng, 40)
+        labels = (rng.uniform(size=40) < 0.3).astype(np.float64)
+        pos = labels / labels.sum() if sides != "neg" else None
+        neg = (1.0 - labels) / (40 - labels.sum()) if sides != "pos" else None
+        with T.default_dtype(dtype):
+            fused = _run(T.binary_cross_entropy, p, pos, neg, self.LO, self.HI)
+            composed = _run(_composed_bce, p, pos, neg, self.LO, self.HI)
+        assert fused[0].dtype == dtype
+        np.testing.assert_array_equal(fused[0], composed[0])
+        np.testing.assert_array_equal(fused[1], composed[1])
+
+    def test_clipped_mse_value_and_gradient(self, dtype):
+        rng = np.random.default_rng(7)
+        p = self._probabilities(rng, (5, 8))
+        target = (rng.uniform(size=40) < 0.3).astype(np.float64)
+        with T.default_dtype(dtype):
+            fused = _run(T.clipped_mse, p, target, self.LO, self.HI)
+            composed = _run(_composed_mse, p, target, self.LO, self.HI)
+        assert fused[0].dtype == dtype
+        np.testing.assert_array_equal(fused[0], composed[0])
+        np.testing.assert_array_equal(fused[1], composed[1])
+
+
+class TestFusedOpEdges:
+    LO, HI = PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("loss", ["bce", "mse"])
+    def test_entries_at_or_beyond_the_clip_bounds_get_zero_gradient(self, dtype, loss):
+        with T.default_dtype(dtype):
+            rng = np.random.default_rng(3)
+            inner = T.parameter(rng.uniform(0.1, 0.9, size=6))
+            # at exactly the bounds in this precision, and beyond them
+            edge = T.parameter(np.array([self.LO, self.HI, 0.0, 1.0, -0.5, 1.5], dtype=dtype))
+            labels = np.array([1.0, 0.0] * 6)
+
+            def forward():
+                p = T.concat([inner, edge])
+                if loss == "mse":
+                    return T.clipped_mse(p, labels, self.LO, self.HI)
+                return T.binary_cross_entropy(p, labels / 6, (1.0 - labels) / 6,
+                                              self.LO, self.HI)
+
+            with Tape() as tape:
+                tape.backward(forward())
+            assert np.all(edge.grad == 0.0)
+            assert np.all(inner.grad != 0.0)
+            if dtype == np.float64:
+                check_gradients(forward, [inner], OP_TOL)
+
+    def test_binary_cross_entropy_needs_a_term(self):
+        with pytest.raises(EmptyInputError):
+            T.binary_cross_entropy(T.parameter(np.ones(3) / 2), None, None, 0.1, 0.9)
+
+    @pytest.mark.parametrize("op", ["bce", "mse"])
+    def test_per_entry_constants_must_match_the_prediction(self, op):
+        pred = T.parameter(np.ones((2, 3)) / 2)
+        with pytest.raises(ShapeError):
+            if op == "mse":
+                T.clipped_mse(pred, np.zeros(5), 0.1, 0.9)
+            else:
+                T.binary_cross_entropy(pred, np.zeros(5), None, 0.1, 0.9)
+
+    def test_sample_collapse_rejects_a_tracked_sampling_matrix(self):
+        base, weight = T.parameter(np.ones((2, 5))), T.parameter(np.ones((3, 2, 2, 1, 1)))
+        with pytest.raises(GraphError):
+            T.sample_collapse(base, weight, T.parameter(np.ones((5, 8))))
+
+    @pytest.mark.parametrize("base,weight,sampling", [
+        ((2, 5), (3, 4, 2, 1, 1), (5, 8)),     # channels differ
+        ((2, 5), (3, 2, 2, 1, 1), (4, 8)),     # snippets differ
+        ((2, 5), (3, 2, 3, 1, 1), (5, 8)),     # 8 columns are not whole samples
+        ((2, 5), (3, 2, 2, 2, 1), (5, 8)),     # trailing filter extent above 1
+        ((10,), (3, 2, 2, 1, 1), (5, 8)),
+    ])
+    def test_sample_collapse_rejects_disagreeing_extents(self, base, weight, sampling):
+        with pytest.raises(ShapeError):
+            T.sample_collapse(T.parameter(np.ones(base)), T.parameter(np.ones(weight)),
+                              T.constant(np.ones(sampling)))
+
+
+class TestConvGeometryCache:
+    # (rank, x shape, w shape, stride, padding), interleaved so that each
+    # call follows one of another shape
+    CALLS = [
+        (1, (3, 9), (4, 3, 3), 1, 1),
+        (2, (2, 7, 6), (3, 2, 3, 3), 1, 1),
+        (1, (3, 9), (4, 3, 3), 2, 0),
+        (3, (2, 8, 3, 4), (3, 2, 4, 1, 1), (4, 1, 1), 0),
+        (2, (2, 7, 6), (3, 2, 3, 2), (2, 1), (0, 1)),
+        (1, (3, 9), (4, 3, 3), 1, 1),
+        (2, (2, 7, 6), (3, 2, 3, 2), 1, 0),
+        (3, (2, 5, 4, 3), (2, 2, 3, 2, 3), 1, 1),
+        (2, (2, 7, 6), (3, 2, 3, 3), 1, 1),
+        (1, (5, 8), (4, 5, 1), 1, 0),
+        (3, (2, 8, 3, 4), (3, 2, 4, 1, 1), (4, 1, 1), 0),
+        (2, (6, 5, 4), (3, 6, 1, 1), 2, 1),
+        (1, (3, 9), (4, 3, 3), 2, 1),                 # stride alone differs
+        (2, (2, 7, 6), (3, 2, 3, 3), 1, 0),           # padding alone differs
+        (1, (3, 10), (4, 3, 3), 1, 1),                # length alone differs
+    ]
+
+    def _run_calls(self):
+        results = []
+        for i, (rank, xs, ws, stride, padding) in enumerate(self.CALLS * 2):
+            rng = np.random.default_rng(i)
+            op = {1: T.conv1d, 2: T.conv2d, 3: T.conv3d}[rank]
+            x, w = _param(rng, *xs), _param(rng, *ws)
+            b = _param(rng, ws[0])
+            with Tape() as tape:
+                out = op(x, w, b, stride=stride, padding=padding)
+                tape.backward(scalarize(out))
+            results.append((out.data, x.grad, w.grad, b.grad))
+        return results
+
+    def test_interleaved_calls_equal_the_uncached_computation(self, monkeypatch):
+        T._conv_geometry.cache_clear()
+        cached = self._run_calls()
+        shapes = {(xs[1:], ws[2:], str(stride), str(padding))
+                  for _, xs, ws, stride, padding in self.CALLS}
+        info = T._conv_geometry.cache_info()
+        assert (info.misses, info.hits) == (len(shapes), 2 * len(self.CALLS) - len(shapes))
+        monkeypatch.setattr(T, "_conv_geometry", T._conv_geometry.__wrapped__)
+        uncached = self._run_calls()
+        for got, want in zip(cached, uncached):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_cache_is_bounded(self):
+        maxsize = T._conv_geometry.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 256
+        for length in range(1, maxsize + 20):
+            T._conv_geometry((length,), (1,), (1,), (0,))
+        assert T._conv_geometry.cache_info().currsize == maxsize
+
+    def test_a_failing_shape_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="output extent"):
+                T.conv1d(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2, 4))))
+

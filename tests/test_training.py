@@ -349,12 +349,12 @@ def _desk_step():
 
 
 class TestTapeSize:
-    def test_desk_step_records_at_most_200_ops(self):
+    def test_desk_step_records_at_most_90_ops(self):
         _, loss_fn = _desk_step()
         with Tape() as tape:
             loss = loss_fn()
             tape.backward(loss)
-        assert 0 < len(tape) <= 200
+        assert 0 < len(tape) <= 90
 
 
 class TestBackwardMemory:
