@@ -16,13 +16,13 @@ previous checkpoint intact.
 
 from __future__ import annotations
 
+import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from tapgkit.errors import FileFormatError
-from tapgkit.files import write_atomic
+from tapgkit.files import ByteCursor, write_atomic
 
 MAGIC = b"TAPGKIT1"
 
@@ -41,36 +41,20 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < len(MAGIC) + 4 or blob[: len(MAGIC)] != MAGIC:
-        raise FileFormatError(f"{path}: not a checkpoint (bad magic)")
-    view = memoryview(blob)
-    pos = len(MAGIC)
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise FileFormatError(f"{path}: truncated checkpoint at byte {pos}")
-        piece = view[pos: pos + n]
-        pos += n
-        return piece
-
-    (count,) = struct.unpack("<I", take(4))
+    cursor = ByteCursor(path, MAGIC, "checkpoint")
+    (count,) = cursor.unpack("<I")
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
+        (name_len,) = cursor.unpack("<I")
         try:
-            name = bytes(take(name_len)).decode("utf-8")
+            name = bytes(cursor.take(name_len)).decode("utf-8")
         except UnicodeDecodeError as err:
-            raise FileFormatError(f"{path}: entry name is not UTF-8 ({err})") from err
-        (rank,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        n_values = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(take(8 * n_values), dtype="<f8").reshape(shape)
+            raise FileFormatError(f"{cursor.path}: entry name is not UTF-8 ({err})") from err
+        (rank,) = cursor.unpack("<I")
+        shape = cursor.unpack(f"<{rank}I")
+        data = np.frombuffer(cursor.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         if name in state:
-            raise FileFormatError(f"{path}: duplicate entry {name!r}")
+            raise FileFormatError(f"{cursor.path}: duplicate entry {name!r}")
         state[name] = data.copy()
-    if pos != len(blob):
-        raise FileFormatError(f"{path}: {len(blob) - pos} trailing bytes after last entry")
+    cursor.finish()
     return state

@@ -109,11 +109,10 @@ def _retain_freed_memory() -> None:
     A forward and backward pass frees megabytes of numpy temporaries. A
     fixed 32 MiB mmap threshold (glibc's maximum) and 64 MiB trim threshold
     keep them for reuse instead of mapping them afresh on the next pass.
-    Measured without the pin, a steady-state training step takes about 3
-    minor page faults at desk scale and at the paper grid, as with it; the
-    pin stays until paired benchmark runs show that dropping it costs
-    nothing. This is process-wide, and a no-op where libc has no
-    ``mallopt``.
+    Paired paper-grid benchmark runs have read the step 16% slower without
+    the pin in one round and no slower in another (README, Notes), so the
+    pin stays until paired runs show that dropping it costs nothing. This
+    is process-wide, and a no-op where libc has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

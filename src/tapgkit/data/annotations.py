@@ -20,12 +20,12 @@ axis, so :func:`rescale_action` maps seconds onto that axis.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from tapgkit.data.features import VideoFeatureSequence
 from tapgkit.errors import AnnotationError, ConfigError
+from tapgkit.files import count, number, pair, write_atomic
 
 
 @dataclass
@@ -64,25 +64,11 @@ class VideoAnnotation:
             action.validate(self.duration, f"{self.video_id} action {i}")
 
 
-def _number(value) -> float:
-    """A finite JSON number as a float; a string, a boolean or null is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise TypeError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _count(value) -> int:
-    """A JSON number with no fractional part as an int."""
-    if isinstance(value, float) and not value.is_integer():
-        raise TypeError(f"expected a whole number, got {value!r}")
-    return int(_number(value))
-
-
 def load_annotations(path) -> dict[str, VideoAnnotation]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except ValueError as err:
         raise AnnotationError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(raw, dict):
         raise AnnotationError(f"{path}: top level must map video ids to records")
@@ -93,21 +79,18 @@ def load_annotations(path) -> dict[str, VideoAnnotation]:
             if (not isinstance(listed, list) or not isinstance(subset, str)
                     or not all(isinstance(a["label"], str) for a in listed)):
                 raise TypeError("need an annotations list, a string subset and string labels")
-            actions = [
-                ActionInstance(_number(a["segment"][0]), _number(a["segment"][1]), a["label"])
-                for a in listed
-            ]
+            actions = [ActionInstance(*pair(a["segment"]), a["label"]) for a in listed]
             video = VideoAnnotation(
                 video_id=video_id,
-                duration=_number(rec["duration"]),
-                fps=_number(rec["fps"]),
-                frame_count=_count(rec["frame_count"]),
+                duration=number(rec["duration"]),
+                fps=number(rec["fps"]),
+                frame_count=count(rec["frame_count"]),
                 annotations=actions,
                 subset=subset,
             )
-        except (AttributeError, KeyError, TypeError, IndexError) as err:
+            video.validate()
+        except (AttributeError, KeyError, TypeError, AnnotationError) as err:
             raise AnnotationError(f"{path}: malformed record for {video_id!r} ({err})") from err
-        video.validate()
         out[video_id] = video
     return out
 
@@ -125,7 +108,7 @@ def save_annotations(path, videos: dict[str, VideoAnnotation]) -> None:
                 {"segment": [a.start, a.end], "label": a.label} for a in v.annotations
             ],
         }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def rescale_action(start: float, end: float, frame_count: int, fps: float,

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from tapgkit.errors import FileFormatError, ShapeError
+from tapgkit.files import ByteCursor
 
 MAGIC = b"TAPGFEA1"
 FILE_SUFFIX = ".feat"
@@ -86,33 +87,19 @@ def save_features(path, seq: VideoFeatureSequence) -> None:
 
 
 def load_features(path, video_id: str | None = None) -> VideoFeatureSequence:
-    path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < len(MAGIC) + 20 or blob[: len(MAGIC)] != MAGIC:
-        raise FileFormatError(f"{path}: not a feature file (bad magic)")
-    pos = len(MAGIC)
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise FileFormatError(f"{path}: truncated feature file at byte {pos}")
-        piece = blob[pos: pos + n]
-        pos += n
-        return piece
-
-    num_snippets, d_e, d_a, d_o, stride = struct.unpack("<5I", take(20))
+    cursor = ByteCursor(path, MAGIC, "feature file")
+    num_snippets, d_e, d_a, d_o, stride = cursor.unpack("<5I")
     if num_snippets == 0 or stride == 0:
-        raise FileFormatError(f"{path}: header declares zero snippets or zero stride")
+        raise FileFormatError(f"{cursor.path}: header declares zero snippets or zero stride")
     snippets = []
     for _ in range(num_snippets):
-        m, k = struct.unpack("<2I", take(8))
-        env = np.frombuffer(take(4 * d_e), dtype="<f4").copy()
-        actors = np.frombuffer(take(4 * m * d_a), dtype="<f4").reshape(m, d_a).copy()
-        objects = np.frombuffer(take(4 * k * d_o), dtype="<f4").reshape(k, d_o).copy()
+        m, k = cursor.unpack("<2I")
+        env = np.frombuffer(cursor.take(4 * d_e), dtype="<f4").copy()
+        actors = np.frombuffer(cursor.take(4 * m * d_a), dtype="<f4").reshape(m, d_a).copy()
+        objects = np.frombuffer(cursor.take(4 * k * d_o), dtype="<f4").reshape(k, d_o).copy()
         snippets.append(SnippetBundle(env, actors, objects))
-    if pos != len(blob):
-        raise FileFormatError(f"{path}: {len(blob) - pos} trailing bytes after last snippet")
-    return VideoFeatureSequence(video_id or path.stem, stride, snippets)
+    cursor.finish()
+    return VideoFeatureSequence(video_id or cursor.path.stem, stride, snippets)
 
 
 def feature_path(directory, video_id: str) -> Path:

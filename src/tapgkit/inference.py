@@ -40,7 +40,7 @@ from tapgkit.errors import (
     FileFormatError,
 )
 from tapgkit.evaluation import Detection, interval_iou
-from tapgkit.files import write_atomic
+from tapgkit.files import number, pair, write_atomic
 
 SCORE_FLOOR = 1e-4
 
@@ -85,8 +85,8 @@ def pair_candidates(output: BoundaryNetOutput) -> np.ndarray:
     s, e = np.meshgrid(boundary_candidates(p_start), boundary_candidates(p_end),
                        indexing="ij")
     d = e - s
+    # e <= T - 1, so every cell (d - 1, s) left here is valid
     ok = (d >= 1) & (d <= p_grid.shape[0])
-    ok[ok] = output.valid[d[ok] - 1, s[ok]]
     s, e = s[ok], e[ok]
     score = p_start[s] * p_end[e] * p_grid[e - s - 1, s]
     return np.column_stack([s, e, score])
@@ -267,12 +267,11 @@ def _read_video(where: str, records) -> list[Proposal]:
     if not isinstance(records, list):
         raise FileFormatError(f"{where}: proposals must be a list")
     try:
-        props = [Proposal(float(r["segment"][0]), float(r["segment"][1]),
-                          float(r["score"])) for r in records]
-    except (KeyError, TypeError, IndexError, ValueError) as err:
+        props = [Proposal(*pair(r["segment"]), number(r["score"])) for r in records]
+    except (KeyError, TypeError) as err:
         raise FileFormatError(f"{where}: malformed proposal ({err})") from err
     for p in props:
-        if not (0.0 <= p.start < p.end < math.inf and 0.0 <= p.score < math.inf):
+        if not (0.0 <= p.start < p.end and p.score >= 0.0):
             raise FileFormatError(f"{where}: unusable proposal segment "
                                   f"[{p.start}, {p.end}] with score {p.score}")
     return props

@@ -13,16 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from tapgkit.errors import (
-    DegenerateInputError,
-    EmptyInputError,
-    FileFormatError,
-    ShapeError,
-)
+from tapgkit.errors import DegenerateInputError, EmptyInputError, ShapeError
+from tapgkit.files import write_atomic
 
 
 @dataclass
@@ -96,18 +91,4 @@ def save_vocabulary(path, vocab: EmbeddedVocabulary) -> None:
             for name, vec in zip(vocab.names, vocab.vectors)
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2))
-
-
-def load_vocabulary(path) -> EmbeddedVocabulary:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-        dim = int(payload["dim"])
-        names = [str(e["name"]) for e in payload["entries"]]
-        vectors = np.array([e["vector"] for e in payload["entries"]], dtype=np.float64)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-        raise FileFormatError(f"{path}: malformed vocabulary file ({err})") from err
-    if vectors.ndim != 2 or vectors.shape[1] != dim:
-        raise FileFormatError(f"{path}: vectors do not match declared dim {dim}")
-    return EmbeddedVocabulary(names, vectors)
+    write_atomic(path, json.dumps(payload, indent=2))

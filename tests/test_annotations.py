@@ -127,6 +127,34 @@ class TestLooseFields:
     def test_whole_float_frame_count_loads(self, tmp_path):
         assert self._load(tmp_path, frame_count=192.0)["v7"].frame_count == 192
 
+    @pytest.mark.parametrize("segment", [[0.0, 1.0, 7.0], [3.0], []])
+    def test_segment_without_exactly_two_entries_rejected(self, tmp_path, segment):
+        self._rejects(tmp_path, annotations=[{"segment": segment, "label": "swing"}])
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        self._rejects(tmp_path, duration=10 ** 400)
+
+    def test_inverted_segment_names_file_and_video(self, tmp_path):
+        self._rejects(tmp_path, annotations=[{"segment": [7.0, 3.0], "label": "swing"}])
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ann.json"
+        path.write_bytes(b'{"v0": "\xff"}')
+        with pytest.raises(AnnotationError, match=r"ann\.json"):
+            load_annotations(path)
+
+
+class TestCrashSafety:
+    def test_failed_write_keeps_previous_file(self, tmp_path, failing_writes):
+        path = tmp_path / "annotations.json"
+        save_annotations(path, {"v0": _video()})
+        before = path.read_bytes()
+        with failing_writes(), pytest.raises(OSError):
+            save_annotations(path, {f"v{i}": _video(video_id=f"v{i}") for i in range(50)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["annotations.json"]
+        assert list(load_annotations(path)) == ["v0"]
+
 
 class TestValidation:
     def test_inverted_segment_rejected(self):

@@ -454,6 +454,13 @@ class TestProposalFiles:
         [{"segment": [0.0, 1.0], "score": -0.5}],
         [{"segment": [0.0, 1.0], "score": 0.5},
          {"segment": [math.nan, 1.0], "score": 0.5}],
+        [{"segment": ["0", True], "score": "0.5"}],
+        [{"segment": [0, 1, 99], "score": 0.5}],
+        [{"segment": [0.0], "score": 0.5}],
+        [{"segment": [0.0, 1.0], "score": True}],
+        [{"segment": [0.0, 1.0], "score": "0.5"}],
+        [{"segment": [0.0, 1.0], "score": None}],
+        [{"segment": [0.0, 10 ** 400], "score": 0.5}],
     ])
     def test_unusable_video_entry_names_file_and_video(self, tmp_path, records):
         path = tmp_path / "bad.json"

@@ -1,20 +1,12 @@
-"""Vocabulary selector: cosine scores, deterministic ties, file round trip."""
+"""Vocabulary selector: cosine scores, deterministic ties, the written file."""
+
+import json
 
 import numpy as np
 import pytest
 
-from tapgkit.errors import (
-    DegenerateInputError,
-    EmptyInputError,
-    FileFormatError,
-    ShapeError,
-)
-from tapgkit.object_vocab import (
-    EmbeddedFrame,
-    EmbeddedVocabulary,
-    load_vocabulary,
-    save_vocabulary,
-)
+from tapgkit.errors import DegenerateInputError, EmptyInputError, ShapeError
+from tapgkit.object_vocab import EmbeddedFrame, EmbeddedVocabulary, save_vocabulary
 
 
 def _vocab(rng, n=8, d=5):
@@ -104,19 +96,25 @@ class TestSelectObjects:
 
 
 class TestFileFormat:
-    def test_round_trip(self, tmp_path):
+    def test_written_file_holds_dim_names_and_vectors(self, tmp_path):
         vocab = _vocab(np.random.default_rng(2))
         path = tmp_path / "vocab.json"
         save_vocabulary(path, vocab)
-        loaded = load_vocabulary(path)
-        assert loaded.names == vocab.names
-        np.testing.assert_allclose(loaded.vectors, vocab.vectors, rtol=1e-15)
+        payload = json.loads(path.read_text())
+        assert payload["dim"] == 5 and type(payload["dim"]) is int
+        assert [e["name"] for e in payload["entries"]] == vocab.names
+        vectors = [e["vector"] for e in payload["entries"]]
+        assert all(type(x) is float for row in vectors for x in row)
+        np.testing.assert_array_equal(np.array(vectors), vocab.vectors)
 
-    def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{\"dim\": 3}")
-        with pytest.raises(FileFormatError):
-            load_vocabulary(path)
+    def test_failed_write_keeps_previous_file(self, tmp_path, failing_writes):
+        path = tmp_path / "vocab.json"
+        save_vocabulary(path, _vocab(np.random.default_rng(3), n=2))
+        before = path.read_bytes()
+        with failing_writes(), pytest.raises(OSError):
+            save_vocabulary(path, _vocab(np.random.default_rng(4), n=200))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.json"]
 
     def test_empty_vocab_rejected(self):
         with pytest.raises(EmptyInputError):
