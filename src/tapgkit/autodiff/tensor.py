@@ -429,26 +429,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
-def scatter_mask(a: Tensor, mask) -> Tensor:
-    """Lay the last axis of ``a`` out over the cells of a boolean mask.
-
-    ``a`` has shape (..., V + 1) with V the mask's true count; the result has
-    shape (..., *mask.shape). The true cells take entries 0..V-1 in row-major
-    order and every false cell takes the last entry. The backward gathers the
-    true cells back and sums the false cells' gradient into the last entry.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    cells = np.count_nonzero(mask)
-    if a.data.ndim < 1 or a.data.shape[-1] != cells + 1:
-        raise ShapeError(f"shape {a.data.shape} does not end in the mask's {cells} true cells + 1")
-    index = np.where(mask, np.cumsum(mask).reshape(mask.shape) - 1, cells)
-
-    def backward(g):
-        _accum(a, np.concatenate((g[..., mask], g[..., ~mask].sum(-1, keepdims=True)), -1))
-
-    return _from_op(np.take(a.data, index, axis=-1), (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -784,6 +764,98 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
 
 def conv3d(x, weight, bias=None, stride=1, padding=0):
     return _conv_nd(x, weight, bias, stride, padding, rank=3)
+
+
+class NeighbourTaps(NamedTuple):
+    """Which input column each output cell reads at each kernel offset.
+
+    Built once by :func:`neighbour_taps` for :func:`neighbour_conv`.
+    """
+    reads: np.ndarray     # (k, n): the column cell v reads at offset j; m is padding
+    readers: np.ndarray   # (k, m - 1): the cell that reads own column c at offset j; n if none
+    shared: np.ndarray    # boolean (k, n): cell v reads the shared column m - 1 at offset j
+    columns: int          # m
+
+
+def neighbour_taps(reads, columns: int) -> NeighbourTaps:
+    """Check and index a (k, n) read table over ``columns`` input columns.
+
+    ``reads[j, v]`` is the column output cell v reads at kernel offset j, in
+    [0, columns], where ``columns`` itself stands for zero padding. The last
+    column (``columns - 1``) is shared: any number of cells may read it at
+    one offset. Every other column is read by at most one cell per offset.
+    """
+    reads = np.array(reads, dtype=np.intp)
+    if reads.ndim != 2 or columns < 1:
+        raise ShapeError("neighbour taps need a (k, n) table over at least one column")
+    if reads.size and (reads.min() < 0 or reads.max() > columns):
+        raise ShapeError(f"neighbour taps must lie in [0, {columns}]")
+    k, n = reads.shape
+    offset, cell = np.nonzero(reads < columns - 1)
+    readers = np.full((k, columns - 1), n)
+    readers[offset, reads[offset, cell]] = cell
+    if np.count_nonzero(readers < n) != cell.size:
+        raise ShapeError("a column other than the last is read twice at one offset")
+    return NeighbourTaps(reads, readers, reads == columns - 1, columns)
+
+
+def neighbour_conv(x: Tensor, weight: Tensor, bias: Tensor, taps: NeighbourTaps) -> Tensor:
+    """Correlation of cells that read their neighbours through a tap table.
+
+    ``x`` is (c_in, m), one column per distinct input, its last column the
+    one many cells may share (every cell outside a grid's valid region, say);
+    ``taps`` comes from :func:`neighbour_taps` over those m columns.
+    ``weight`` is (c_out, c_in, *kernel) with its k offsets in row-major
+    order. The (c_out, n) result is
+
+        out[:, v] = bias + sum over j of weight[:, :, j] @ x[:, taps.reads[j, v]]
+
+    computed one offset at a time on cell-major rows, so no temporary is
+    larger than one (n, c_in) gather. The backward is the same product the
+    other way round: at each offset, each own column gathers the gradient of
+    the one cell that read it, and the shared column takes one sum.
+    """
+    reads, readers, shared, m = taps
+    (k, n), c_out = reads.shape, weight.data.shape[0]
+    if x.data.ndim != 2 or x.data.shape[1] != m:
+        raise ShapeError(f"neighbour_conv input must be (channels, {m}), got {x.data.shape}")
+    c_in = x.data.shape[0]
+    if weight.data.ndim < 3 or weight.data.shape[1] != c_in \
+            or weight.data.size != c_out * c_in * k:
+        raise ShapeError(f"neighbour_conv weight {weight.data.shape} does not fit "
+                         f"{c_in} input channels and {k} offsets")
+    if bias.data.shape != (c_out,):
+        raise ShapeError("conv bias extent must equal the filter count")
+    rows = np.zeros((m + 1, c_in), dtype=x.data.dtype)   # the last row is the padding
+    rows[:m] = x.data.T
+    wk = np.ascontiguousarray(weight.data.reshape(c_out, c_in, k).transpose(2, 1, 0))
+    out = rows[reads[0]] @ wk[0]                           # (n, c_out)
+    for j in range(1, k):
+        out += rows[reads[j]] @ wk[j]
+    out += bias.data
+
+    def backward(g):
+        if weight.requires_grad:
+            dw = np.empty((c_out, c_in, k), dtype=g.dtype)
+            for j in range(k):
+                dw[:, :, j] = g @ rows[reads[j]]
+            _accum(weight, dw.reshape(weight.data.shape))
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=1))
+        if x.requires_grad:
+            grows = np.zeros((n + 1, c_out), dtype=g.dtype)   # the last row reads nothing
+            grows[:n] = g.T
+            wt = np.ascontiguousarray(wk.transpose(0, 2, 1))
+            dx = np.empty((m, c_in), dtype=g.dtype)
+            own = dx[:-1]
+            np.matmul(grows[readers[0]], wt[0], out=own)
+            for j in range(1, k):
+                own += grows[readers[j]] @ wt[j]
+            by_offset = shared.astype(g.dtype) @ grows[:n]      # (k, c_out)
+            dx[-1] = (by_offset[:, None, :] @ wt).sum(axis=0)[0]
+            _accum(x, dx.T)
+
+    return _from_op(out.T, (x, weight, bias), backward)
 
 
 def mean_pool(a: Tensor, axis: int) -> Tensor:

@@ -25,8 +25,18 @@ backward maps the output gradient back through the constant once, to
 with two small products, so a training step neither keeps the sampled
 matrix nor forms its gradient. The outside column collapses to the bias
 alone, the one vector every invalid cell holds, so the bias, ``relu`` and
-the 1x1 ``grid1`` run once per distinct column; only grid1's output is laid
-out on the grid, its outside column filling every invalid cell.
+the 1x1 ``grid1`` run once per distinct column.
+
+No loss or decode reads an invalid cell, so the rest of the head computes
+only the V valid cells. ``grid2``, a 3x3 conv with zero padding, is
+``T.neighbour_conv`` over a (9, V) tap table (``grid_taps``): at each kernel
+offset a valid cell reads its neighbour's own column, the shared outside
+column if the neighbour is an invalid cell of the grid, or zero beyond the
+grid's edge, exactly what the conv would read on the laid-out grid.
+``grid3``, a 1x1 conv, and the sigmoid follow on V columns, and the output
+holds the V valid cells' probabilities in row-major order;
+``BoundaryNetOutput.actionness_grid`` lays them out on the grid for decoding.
+Parameter names and shapes are those of the convs they stand for.
 
 Grid cell (row r, column t) therefore covers the interval [t, t + r + 1] in
 snippet coordinates.
@@ -94,6 +104,23 @@ def sampling_columns(num_snippets: int, max_duration: int, num_samples: int,
     return w
 
 
+def grid_taps(num_snippets: int, max_duration: int) -> T.NeighbourTaps:
+    """The column each valid cell reads at each 3x3 offset, as a (9, V) table.
+
+    Columns are numbered as in ``sampling_columns``: a valid neighbour reads
+    its own column, a neighbour inside the grid but invalid reads the shared
+    column V, and one outside the grid reads V + 1, the zero padding.
+    Offsets run row-major over the kernel, as in a (3, 3) conv weight.
+    """
+    valid = valid_cells(num_snippets, max_duration)
+    cells = int(valid.sum())
+    column = np.full((max_duration + 2, num_snippets + 2), cells + 1)
+    column[1:-1, 1:-1] = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, cells)
+    r, t = np.nonzero(valid)
+    reads = np.stack([column[r + i, t + j] for i in range(3) for j in range(3)])
+    return T.neighbour_taps(reads, cells + 1)
+
+
 def build_sampling_weights(num_snippets: int, max_duration: int,
                            num_samples: int) -> np.ndarray:
     """Dense float64 array (T, num_samples, max_duration, T) realizing the sampler."""
@@ -127,8 +154,14 @@ def _retain_freed_memory() -> None:
 class BoundaryNetOutput:
     start: Tensor        # (T,)
     end: Tensor          # (T,)
-    actionness: Tensor   # (max_duration, T)
+    actionness: Tensor   # (V,): the valid cells, row-major
     valid: np.ndarray    # boolean (max_duration, T)
+
+    def actionness_grid(self) -> np.ndarray:
+        """Float64 (max_duration, T) probabilities, zero at the invalid cells."""
+        grid = np.zeros(self.valid.shape)
+        grid[self.valid] = self.actionness.data
+        return grid
 
 
 class BoundaryNet(Module):
@@ -148,16 +181,17 @@ class BoundaryNet(Module):
             glorot_uniform(rng, (o, c, n, 1, 1), c * n, o * n))
         self.sample_collapse.bias = T.parameter(np.zeros(o))
         self.grid1 = Conv2d(rng, cfg.proposal_conv3d_out, cfg.proposal_conv2d_hidden, 1)
+        # a 3x3 conv's parameters, applied over the valid cells in __call__
         self.grid2 = Conv2d(rng, cfg.proposal_conv2d_hidden, cfg.proposal_conv2d_hidden,
                             3, padding=1)
         self.grid3 = Conv2d(rng, cfg.proposal_conv2d_hidden, 1, 1)
         self._valid = valid_cells(cfg.num_snippets, d)
         cells = sampling_columns(cfg.num_snippets, d, cfg.num_samples, T.get_default_dtype())
         self._sampling = T.constant(cells.reshape(cfg.num_snippets, -1))   # (T, n*(V+1))
+        self._taps = grid_taps(cfg.num_snippets, d)
 
     def __call__(self, features: Tensor) -> BoundaryNetOutput:
         cfg = self.cfg
-        d = cfg.resolved_max_duration()
         if features.data.shape != (cfg.feature_dim, cfg.num_snippets):
             raise ShapeError(
                 f"features must be ({cfg.feature_dim}, {cfg.num_snippets}), "
@@ -169,12 +203,12 @@ class BoundaryNet(Module):
         start = T.reshape(T.gather_rows(bounds, [0]), (cfg.num_snippets,))
         end = T.reshape(T.gather_rows(bounds, [1]), (cfg.num_snippets,))
 
-        c3d = cfg.proposal_conv3d_out
+        c3d, h = cfg.proposal_conv3d_out, cfg.proposal_conv2d_hidden
         collapse = self.sample_collapse
         x = T.sample_collapse(base, collapse.weight, self._sampling)  # (c3d, V+1)
         x = T.relu(T.add(x, T.reshape(collapse.bias, (c3d, 1))))
         x = T.relu(self.grid1(T.reshape(x, (c3d, 1, -1))))           # (h, 1, V+1)
-        x = T.scatter_mask(T.reshape(x, (cfg.proposal_conv2d_hidden, -1)), self._valid)
-        x = T.relu(self.grid2(x))                                    # (h, d, T)
-        actionness = T.reshape(T.sigmoid(self.grid3(x)), (d, cfg.num_snippets))
+        x = T.relu(T.neighbour_conv(T.reshape(x, (h, -1)), self.grid2.weight,
+                                    self.grid2.bias, self._taps))     # (h, V)
+        actionness = T.reshape(T.sigmoid(self.grid3(T.reshape(x, (h, 1, -1)))), (-1,))
         return BoundaryNetOutput(start, end, actionness, self._valid)

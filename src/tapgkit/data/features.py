@@ -91,6 +91,9 @@ def load_features(path, video_id: str | None = None) -> VideoFeatureSequence:
     num_snippets, d_e, d_a, d_o, stride = cursor.unpack("<5I")
     if num_snippets == 0 or stride == 0:
         raise FileFormatError(f"{cursor.path}: header declares zero snippets or zero stride")
+    if 0 in (d_e, d_a, d_o):
+        raise FileFormatError(f"{cursor.path}: header declares a stream of width 0 "
+                              f"(d_e={d_e}, d_a={d_a}, d_o={d_o})")
     snippets = []
     for _ in range(num_snippets):
         m, k = cursor.unpack("<2I")

@@ -39,7 +39,7 @@ from tapgkit.errors import (
     EmptyInputError,
     FileFormatError,
 )
-from tapgkit.evaluation import Detection, interval_iou
+from tapgkit.evaluation import Detection
 from tapgkit.files import number, pair, write_atomic
 
 SCORE_FLOOR = 1e-4
@@ -81,7 +81,7 @@ def pair_candidates(output: BoundaryNetOutput) -> np.ndarray:
     """(n, 3) float64 rows [start_index, end_index, score], start-major."""
     p_start = np.asarray(output.start.data, dtype=np.float64)
     p_end = np.asarray(output.end.data, dtype=np.float64)
-    p_grid = np.asarray(output.actionness.data, dtype=np.float64)
+    p_grid = output.actionness_grid()
     s, e = np.meshgrid(boundary_candidates(p_start), boundary_candidates(p_end),
                        indexing="ij")
     d = e - s
@@ -157,21 +157,27 @@ def suppress(rows: np.ndarray,
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     live = rows[:, 2].copy()        # -inf once a row is kept or dropped
     soft = isinstance(cfg, SoftSuppressionConfig)
+    # the pick-independent terms of interval_iou and of the centre gap,
+    # combined with each pick's in the same order as those expressions
+    starts, ends = rows[:, 0].copy(), rows[:, 1].copy()
+    lengths, centres = ends - starts, starts + ends
     kept, scores = [], []
     for _ in range(min(cfg.max_keep, len(rows))):
         best = int(np.argmax(live))
         if live[best] == -math.inf:
             break
-        top = rows[best]
+        start, end = starts[best], ends[best]
         kept.append(best)
         scores.append(live[best])
         live[best] = -math.inf
-        iou = interval_iou(top[:2], rows[:, :2])
+        inter = np.maximum(0.0, np.minimum(end, ends) - np.maximum(start, starts))
+        union = (lengths[best] + lengths) - inter
+        iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
         if not soft:
             live[iou > cfg.threshold] = -math.inf
             continue
-        duration = top[1] - top[0]
-        gap = np.abs((top[0] + top[1]) - (rows[:, 0] + rows[:, 1])) / 2.0
+        duration = lengths[best]
+        gap = np.abs(centres[best] - centres) / 2.0
         distance = gap / duration if duration > 0 else math.inf
         # only live rows decay: a factor that underflows to 0 would turn -inf
         # into nan, which argmax picks first

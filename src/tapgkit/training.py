@@ -142,25 +142,28 @@ def proposal_grid_loss(pred: Tensor, labels: np.ndarray, valid: np.ndarray,
                        mse_weight: float) -> tuple[Tensor, Tensor, Tensor, bool]:
     """Grid loss over valid cells: balanced cross entropy + weighted MSE.
 
-    Both terms read the prediction clipped to ``[PROBABILITY_FLOOR,
-    1 - PROBABILITY_FLOOR]``, so a cell with p < 1e-7 or p > 1 - 1e-7 adds
-    the MSE of the clipped value and passes no gradient back. Unclipped, the
-    MSE gradient of a saturated sigmoid turns subnormal in float32 on its way
-    back and slows every matrix product it reaches. Each term is one op
-    (``T.binary_cross_entropy``, ``T.clipped_mse``) with an analytic
-    backward.
+    ``pred`` holds one probability per valid cell of the ``valid`` grid, in
+    row-major order, as ``BoundaryNet`` outputs it; ``labels`` is the whole
+    grid, of which the valid cells are read. Both terms read the prediction
+    clipped to ``[PROBABILITY_FLOOR, 1 - PROBABILITY_FLOOR]``, so a cell with
+    p < 1e-7 or p > 1 - 1e-7 adds the MSE of the clipped value and passes no
+    gradient back. Unclipped, the MSE gradient of a saturated sigmoid turns
+    subnormal in float32 on its way back and slows every matrix product it
+    reaches. Each term is one op (``T.binary_cross_entropy``,
+    ``T.clipped_mse``) with an analytic backward.
 
     Returns (combined, cross_entropy_part, mse_part, degenerate_flag).
     """
-    if pred.data.shape != labels.shape or labels.shape != valid.shape:
-        raise ShapeError("prediction, labels and validity grids must share a shape")
-    idx = np.flatnonzero(valid.ravel())
-    if idx.size == 0:
+    if labels.shape != valid.shape:
+        raise ShapeError("label and validity grids must share a shape")
+    cells = int(np.count_nonzero(valid))
+    if cells == 0:
         raise EmptyInputError("no valid grid cells")
-    flat = T.gather_rows(T.reshape(pred, (-1,)), idx)
-    flat_labels = labels.ravel()[idx]
-    wb, degenerate = weighted_binary_loss(flat, flat_labels)
-    mse = T.clipped_mse(flat, flat_labels, PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
+    if pred.data.size != cells:
+        raise ShapeError(f"{pred.data.size} predictions for {cells} valid cells")
+    flat_labels = labels[valid]
+    wb, degenerate = weighted_binary_loss(pred, flat_labels)
+    mse = T.clipped_mse(pred, flat_labels, PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
     return T.add(wb, T.scale(mse, mse_weight)), wb, mse, degenerate
 
 

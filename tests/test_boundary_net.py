@@ -17,11 +17,12 @@ from tapgkit.boundary_net import (
     BoundaryNet,
     BoundaryNetConfig,
     build_sampling_weights,
+    grid_taps,
     valid_cells,
 )
 from tapgkit.errors import ConfigError, ShapeError
 
-from gradcheck import scalarize
+from gradcheck import check_gradients, scalarize
 
 
 def _interpolate_column(base: np.ndarray, position: float) -> np.ndarray:
@@ -115,16 +116,22 @@ class TestNetwork:
         out = net(Tensor(rng.standard_normal((6, 8))))
         assert out.start.data.shape == (8,)
         assert out.end.data.shape == (8,)
-        assert out.actionness.data.shape == (8, 8)
+        assert out.valid.shape == (8, 8)
+        # one probability per valid cell, laid out on the grid with zeros elsewhere
+        assert out.actionness.data.shape == (int(out.valid.sum()),) == (36,)
         for arr in (out.start.data, out.end.data, out.actionness.data):
             assert np.all((arr > 0.0) & (arr < 1.0))
-        assert out.valid.shape == (8, 8)
+        grid = out.actionness_grid()
+        assert grid.shape == (8, 8) and grid.dtype == np.float64
+        np.testing.assert_array_equal(grid[out.valid], out.actionness.data)
+        np.testing.assert_array_equal(grid[~out.valid], 0.0)
 
     def test_max_duration_limits_grid_rows(self):
         rng = np.random.default_rng(1)
         net = BoundaryNet(rng, self._cfg(max_duration=3))
         out = net(Tensor(rng.standard_normal((6, 8))))
-        assert out.actionness.data.shape == (3, 8)
+        assert out.valid.shape == (3, 8)
+        assert out.actionness.data.shape == (8 + 7 + 6,)
 
     def test_reference_widths_give_documented_parameter_shapes(self):
         cfg = BoundaryNetConfig(feature_dim=32, num_snippets=16)
@@ -146,7 +153,7 @@ class TestNetwork:
         assert shapes["grid2.weight"] == (128, 128, 3, 3)
         assert shapes["grid3.weight"] == (1, 128, 1, 1)
         out = net(Tensor(np.random.default_rng(3).standard_normal((32, 16))))
-        assert out.actionness.data.shape == (16, 16)
+        assert out.actionness_grid().shape == (16, 16)
 
     def test_wrong_input_shape_rejected(self):
         net = BoundaryNet(np.random.default_rng(4), self._cfg())
@@ -168,13 +175,17 @@ class TestNetwork:
             loss = T.add(scalarize(out.actionness),
                          T.add(scalarize(out.start), scalarize(out.end)))
             tape.backward(loss)
+        # the valid-cell output reaches every parameter, grid2 and grid3 included
+        assert out.actionness.data.shape == (int(out.valid.sum()),)
         for name, p in net.named_parameters():
             assert np.abs(p.grad).sum() > 0.0, f"{name} received no gradient"
 
 
 def _dense_forward(net: BoundaryNet, features: Tensor):
     """The matching path as a dense formulation: every grid cell sampled with
-    the full ``build_sampling_weights`` constant, collapsed by ``T.conv3d``."""
+    the full ``build_sampling_weights`` constant, collapsed by ``T.conv3d``,
+    and the grid convs run over the whole grid; the valid cells are read off
+    at the end."""
     cfg = net.cfg
     d = cfg.resolved_max_duration()
     base = T.relu(net.trunk2(T.relu(net.trunk1(features))))
@@ -186,7 +197,8 @@ def _dense_forward(net: BoundaryNet, features: Tensor):
                  stride=(cfg.num_samples, 1, 1))
     x = T.relu(T.reshape(x, (cfg.proposal_conv3d_out, d, cfg.num_snippets)))
     x = T.relu(net.grid2(T.relu(net.grid1(x))))
-    return bounds, T.reshape(T.sigmoid(net.grid3(x)), (d, cfg.num_snippets))
+    grid = T.reshape(T.sigmoid(net.grid3(x)), (-1,))
+    return bounds, T.gather_rows(grid, np.flatnonzero(valid_cells(cfg.num_snippets, d)))
 
 
 def _held_arrays(module):
@@ -269,6 +281,41 @@ class TestValidCellMatching:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes
+
+
+class TestGridTaps:
+    """grid2 over the valid cells against the 3x3 conv over the laid-out grid."""
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_equals_conv2d_over_the_laid_out_grid(self, grid):
+        num_snippets, max_duration, _ = grid
+        valid = valid_cells(num_snippets, max_duration)
+        cells = int(valid.sum())
+        rng = np.random.default_rng(cells)
+        x, w, b = (rng.standard_normal(s) for s in ((3, cells + 1), (4, 3, 3, 3), (4,)))
+        laid_out = np.repeat(x[:, -1:], valid.size, axis=1).reshape(3, *valid.shape)
+        laid_out[:, valid] = x[:, :-1]          # invalid cells hold the shared column
+        with T.default_dtype(np.float64):
+            taps = grid_taps(num_snippets, max_duration)
+            got = T.neighbour_conv(Tensor(x), Tensor(w), Tensor(b), taps).data
+            want = T.conv2d(Tensor(laid_out), Tensor(w), Tensor(b), padding=1).data
+        assert taps.reads.shape == (9, cells) and taps.columns == cells + 1
+        np.testing.assert_allclose(got, want[:, valid], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_gradients_match_finite_differences(self, grid):
+        num_snippets, max_duration, _ = grid
+        taps = grid_taps(num_snippets, max_duration)
+        with T.default_dtype(np.float64):
+            rng = np.random.default_rng(num_snippets + max_duration)
+            x = T.parameter(rng.standard_normal((2, taps.columns)))
+            w = T.parameter(rng.standard_normal((2, 2, 3, 3)))
+            b = T.parameter(rng.standard_normal(2))
+
+            def forward():
+                out = T.neighbour_conv(x, w, b, taps)
+                return scalarize(T.mul(out, out))
+            check_gradients(forward, [x, w, b], tol=1e-6)
 
 
 _PASS_FAULTS = """

@@ -99,6 +99,21 @@ class TestCorruption:
         with pytest.raises(FileFormatError):
             load_features(path)
 
+    def test_zero_stream_width_rejected(self, tmp_path):
+        # with d_a = d_o = 0, M = K = 2**32 - 1 would load as two (4294967295, 0) matrices
+        import struct
+        path = tmp_path / "x.feat"
+        path.write_bytes(MAGIC + struct.pack("<5I", 1, 4, 0, 0, 16)
+                         + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + b"\x00" * 16)
+        assert path.stat().st_size == 52
+        with pytest.raises(FileFormatError, match="x.feat"):
+            load_features(path)
+        for widths in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+            path.write_bytes(MAGIC + struct.pack("<5I", 1, *widths, 16)
+                             + struct.pack("<2I", 0, 0) + b"\x00" * 4 * widths[0])
+            with pytest.raises(FileFormatError, match="width 0"):
+                load_features(path)
+
     def test_zero_snippet_header_rejected(self, tmp_path):
         import struct
         path = tmp_path / "x.feat"

@@ -1,5 +1,6 @@
 """Decoding, suppression and proposal files."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,8 @@ import pytest
 
 from tapgkit.autodiff import tensor as T
 from tapgkit.boundary_net import BoundaryNetOutput, valid_cells
+from tapgkit.config import RunConfig
+from tapgkit.data.synthetic import generate_corpus
 from tapgkit.errors import (
     ConfigError,
     DegenerateInputError,
@@ -30,6 +33,8 @@ from tapgkit.inference import (
     suppress,
     suppression_preset,
 )
+from tapgkit.evaluation import interval_iou
+from tapgkit.model import ProposalModel
 
 
 def _iou(a, b):
@@ -123,11 +128,12 @@ class TestBoundaryCandidates:
 
 def _toy_output(seed=0, num_snippets=8, max_duration=8):
     rng = np.random.default_rng(seed)
+    valid = valid_cells(num_snippets, max_duration)
     return BoundaryNetOutput(
         start=T.constant(rng.uniform(0.05, 0.95, num_snippets)),
         end=T.constant(rng.uniform(0.05, 0.95, num_snippets)),
-        actionness=T.constant(rng.uniform(0.05, 0.95, (max_duration, num_snippets))),
-        valid=valid_cells(num_snippets, max_duration),
+        actionness=T.constant(rng.uniform(0.05, 0.95, (max_duration, num_snippets))[valid]),
+        valid=valid,
     )
 
 
@@ -135,7 +141,7 @@ class TestPairing:
     def test_scores_are_triple_products(self):
         out = _toy_output(seed=1)
         p_start, p_end = out.start.data, out.end.data
-        p_grid = out.actionness.data
+        p_grid = out.actionness_grid()
         expected = []
         for s in boundary_candidates(p_start):
             for e in boundary_candidates(p_end):
@@ -362,6 +368,89 @@ class TestSuppressRows:
         before = rows.copy()
         suppress(rows, suppression_preset("anet-tad-snms"))
         np.testing.assert_array_equal(rows, before)
+
+
+def _suppress_loop(rows, cfg):
+    """``suppress`` as it was before it precomputed each row's length and
+    centre: IoU and centre gap rebuilt from the rows at every pick."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    live = rows[:, 2].copy()
+    soft = isinstance(cfg, SoftSuppressionConfig)
+    kept, scores = [], []
+    for _ in range(min(cfg.max_keep, len(rows))):
+        best = int(np.argmax(live))
+        if live[best] == -math.inf:
+            break
+        top = rows[best]
+        kept.append(best)
+        scores.append(live[best])
+        live[best] = -math.inf
+        iou = interval_iou(top[:2], rows[:, :2])
+        if not soft:
+            live[iou > cfg.threshold] = -math.inf
+            continue
+        duration = top[1] - top[0]
+        gap = np.abs((top[0] + top[1]) - (rows[:, 0] + rows[:, 1])) / 2.0
+        distance = gap / duration if duration > 0 else math.inf
+        hit = (iou >= cfg.overlap_offset + cfg.distance_weight * distance) \
+            & (live > -math.inf)
+        live[hit] *= [math.exp(x) for x in (-iou[hit] / cfg.sigma).tolist()]
+        live[live < cfg.score_floor] = -math.inf
+    out = rows[kept]
+    out[:, 2] = scores
+    return out
+
+
+def _decode_flat_rows():
+    """Candidate rows, in seconds, of an untrained desk model on three
+    synthetic videos: every start/end pair is a candidate."""
+    run = RunConfig()
+    syn = dataclasses.replace(run.synthetic, num_videos=3, min_action_len=2,
+                              max_action_len=8)
+    corpus = generate_corpus(syn)
+    rep = dataclasses.replace(run.representation, env_dim=syn.env_dim,
+                              actor_dim=syn.actor_dim, object_dim=syn.object_dim)
+    model = ProposalModel(np.random.default_rng(0), rep,
+                          run.boundary.build(rep.feature_dim, syn.num_snippets))
+    seconds = syn.snippet_stride / syn.fps
+    return [pair_candidates(model(seq)) * [seconds, seconds, 1.0]
+            for seq in corpus.features.values()]
+
+
+def _edge_rows(rng):
+    """Rows with tied starts and scores and zero-length intervals, on
+    continuous draws so that a reordered sum would round differently."""
+    n = int(rng.integers(1, 40))
+    starts = rng.uniform(0.0, 8.0, n)
+    starts[rng.random(n) < 0.3] = starts[0]
+    ends = starts + rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.8)
+    scores = rng.uniform(0.0, 1.0, n)
+    tied = rng.random(n) < 0.5
+    scores[tied] = rng.choice([0.9, 0.6, 1e-3, 5e-5], int(tied.sum()))
+    return np.column_stack([starts, ends, scores])
+
+
+class TestSuppressAgainstTheLoop:
+    """Byte-equal output to the loop that rebuilt every term at each pick."""
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_decode_flat_candidates(self, preset):
+        cfg = suppression_preset(preset)
+        for rows in _decode_flat_rows():
+            assert len(rows) == 32 * 31 // 2
+            got, want = suppress(rows, cfg), _suppress_loop(rows, cfg)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_random_sets_with_ties_and_zero_lengths(self, preset):
+        rng = np.random.default_rng(1700)
+        for _ in range(1000):
+            rows = _edge_rows(rng)
+            cfg = suppression_preset(preset)
+            cfg.max_keep = int(rng.integers(1, len(rows) + 3))
+            got, want = suppress(rows, cfg), _suppress_loop(rows, cfg)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestGenerateProposals:

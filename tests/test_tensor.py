@@ -23,6 +23,16 @@ def _param(rng, *shape):
     return T.parameter(rng.standard_normal(shape))
 
 
+def _random_reads(rng, columns, offsets, cells):
+    """A (offsets, cells) tap table: at each offset some cells read distinct
+    own columns, and the rest read the shared last column or the padding."""
+    reads = rng.choice([columns - 1, columns], size=(offsets, cells))
+    for j in range(offsets):
+        own = rng.permutation(columns - 1)[:int(rng.integers(1, columns))]
+        reads[j, rng.permutation(cells)[:own.size]] = own
+    return reads
+
+
 class TestTapeSemantics:
     def test_no_tape_means_no_tracking(self):
         a = T.parameter(np.ones(3))
@@ -200,26 +210,40 @@ class TestValueSemantics:
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 2))))
 
-    def test_scatter_mask_lays_columns_out_row_major(self):
-        mask = np.array([[True, False, True], [False, True, False]])
-        x = Tensor(np.arange(8.0).reshape(2, 4))
-        got = T.scatter_mask(x, mask).data
-        np.testing.assert_array_equal(got[0], [[0.0, 3.0, 1.0], [3.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(got[:, mask], x.data[:, :-1])
-        np.testing.assert_array_equal(got[:, ~mask], np.repeat(x.data[:, -1:], 3, axis=1))
-        for width in (3, 5):   # the input must end in V + 1 = 4 entries
-            with pytest.raises(ShapeError):
-                T.scatter_mask(Tensor(np.ones((2, width))), mask)
+    def test_neighbour_conv_reads_through_its_taps(self):
+        rng = np.random.default_rng(4)
+        reads = _random_reads(rng, columns=6, offsets=4, cells=5)
+        x, w, b = (rng.standard_normal(s) for s in ((3, 6), (2, 3, 2, 2), (2,)))
+        with T.default_dtype(np.float64):
+            got = T.neighbour_conv(Tensor(x), Tensor(w), Tensor(b),
+                                   T.neighbour_taps(reads, 6)).data
+        padded = np.concatenate([x, np.zeros((3, 1))], axis=1)
+        want = np.zeros((2, 5))
+        for v in range(5):
+            want[:, v] = b + sum(w.reshape(2, 3, 4)[:, :, j] @ padded[:, reads[j, v]]
+                                 for j in range(4))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_scatter_mask_without_false_cells_leaves_the_last_entry_unused(self):
-        full = np.ones((2, 2), dtype=bool)
-        a = T.parameter(np.arange(10.0).reshape(2, 5))
-        with Tape() as tape:
-            grid = T.scatter_mask(a, full)
-            np.testing.assert_array_equal(grid.data, a.data[:, :-1].reshape(2, 2, 2))
-            tape.backward(T.sum_(T.mul(grid, grid)))
-        np.testing.assert_array_equal(a.grad[:, :-1], 2.0 * a.data[:, :-1])
-        np.testing.assert_array_equal(a.grad[:, -1], 0.0)
+    def test_neighbour_taps_reject_a_second_read_of_an_own_column(self):
+        T.neighbour_taps([[2, 2, 0, 3]], 3)        # the shared column 2 twice is fine
+        with pytest.raises(ShapeError):
+            T.neighbour_taps([[1, 1, 0]], 3)
+        for bad in ([[0, 4]], [[-1, 0]]):          # taps lie in [0, columns]
+            with pytest.raises(ShapeError):
+                T.neighbour_taps(bad, 3)
+        with pytest.raises(ShapeError):
+            T.neighbour_taps([0, 1], 3)
+
+    def test_neighbour_conv_checks_extents(self):
+        taps = T.neighbour_taps([[0, 1], [1, 2]], 3)
+        x = Tensor(np.ones((2, 3)))
+        T.neighbour_conv(x, Tensor(np.ones((4, 2, 2))), Tensor(np.ones(4)), taps)
+        for bad_x, bad_w, bad_b in ((np.ones((2, 4)), np.ones((4, 2, 2)), np.ones(4)),
+                                    (np.ones((2, 3)), np.ones((4, 2, 3)), np.ones(4)),
+                                    (np.ones((2, 3)), np.ones((4, 3, 2)), np.ones(4)),
+                                    (np.ones((2, 3)), np.ones((4, 2, 2)), np.ones(3))):
+            with pytest.raises(ShapeError):
+                T.neighbour_conv(Tensor(bad_x), Tensor(bad_w), Tensor(bad_b), taps)
 
     def test_transpose_needs_matrix(self):
         with pytest.raises(ShapeError):
@@ -556,15 +580,15 @@ class TestOpGradients:
             np.testing.assert_array_equal(flipped[i], a[i].T)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_scatter_mask(self, seed):
+    def test_neighbour_conv(self, seed):
         def build(rng):
-            mask = rng.random((3, 4)) < 0.5
-            a = _param(rng, 2, int(mask.sum()) + 1)
+            taps = T.neighbour_taps(_random_reads(rng, columns=5, offsets=4, cells=6), 5)
+            x, w, b = _param(rng, 2, 5), _param(rng, 3, 2, 2, 2), _param(rng, 3)
 
             def forward():
-                grid = T.scatter_mask(a, mask)          # (2, 3, 4)
-                return scalarize(T.mul(grid, grid))
-            return forward, [a]
+                out = T.neighbour_conv(x, w, b, taps)     # (3, 6)
+                return scalarize(T.mul(out, out))
+            return forward, [x, w, b]
         self.run(seed, build)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -650,7 +674,7 @@ class TestOpGradients:
 def test_every_exported_op_has_a_gradient_check():
     """An op exported from ``tapgkit.autodiff`` is named in TestOpGradients."""
     not_ops = {"constant", "parameter", "default_dtype", "get_default_dtype",
-               "set_default_dtype"}
+               "set_default_dtype", "neighbour_taps"}
     ops = {name for name in tapgkit.autodiff.__all__
            if inspect.isfunction(getattr(tapgkit.autodiff, name))
            and getattr(tapgkit.autodiff, name).__module__ == T.__name__} - not_ops

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -207,13 +208,16 @@ class TestGridLoss:
         assert not degenerate
 
     def test_only_valid_cells_enter_the_loss(self):
-        pred_a = T.constant(np.array([[0.8, 0.3], [0.2, 0.9]]))
-        pred_b = T.constant(np.array([[0.8, 0.3], [0.2, 0.1]]))
-        labels = np.array([[1.0, 0.0], [0.0, 0.0]])
+        # the prediction holds the valid cells alone; an invalid cell's label is never read
+        pred = T.constant(np.array([0.8, 0.3, 0.2]))
+        labels_a = np.array([[1.0, 0.0], [0.0, 0.0]])
+        labels_b = np.array([[1.0, 0.0], [0.0, 1.0]])
         valid = np.array([[True, True], [True, False]])
-        la = proposal_grid_loss(pred_a, labels, valid, 10.0)[0].item()
-        lb = proposal_grid_loss(pred_b, labels, valid, 10.0)[0].item()
-        np.testing.assert_allclose(la, lb, rtol=1e-6)
+        la = proposal_grid_loss(pred, labels_a, valid, 10.0)[0].item()
+        lb = proposal_grid_loss(pred, labels_b, valid, 10.0)[0].item()
+        assert la == lb
+        with pytest.raises(ShapeError):   # a whole-grid prediction is not the valid cells
+            proposal_grid_loss(T.constant(np.full((2, 2), 0.5)), labels_a, valid, 10.0)
 
     def test_no_valid_cells_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -230,7 +234,7 @@ class TestTotalLoss:
         output = BoundaryNetOutput(
             start=T.parameter(rng.uniform(0.1, 0.9, t)),
             end=T.parameter(rng.uniform(0.1, 0.9, t)),
-            actionness=T.parameter(rng.uniform(0.1, 0.9, (d, t))),
+            actionness=T.parameter(rng.uniform(0.1, 0.9, (d, t))[valid_cells(t, d)]),
             valid=valid_cells(t, d))
         annotation = VideoAnnotation("v", duration=8.0, fps=1.0, frame_count=8,
                                      annotations=[ActionInstance(2.0, 5.0, "a")])
@@ -390,6 +394,39 @@ class TestBackwardMemory:
         assert full == (128, 32, 32)
         assert len(shapes) == len(tape) and full not in shapes
         assert len(grads) >= len(shapes) and full not in grads
+
+    def test_desk_step_records_nothing_wider_than_one_channel_over_the_grid(self):
+        # the grid head keeps to the valid cells after grid1: no recorded
+        # result has more than one channel over the (D, T) grid
+        model, loss_fn = _desk_step()
+        cfg = model.boundary_net.cfg
+        grid = (cfg.resolved_max_duration(), cfg.num_snippets)
+        with Tape() as tape:
+            loss = loss_fn()
+            shapes = [rec.out.data.shape for rec in tape._records]
+            tape.backward(loss, model.parameters())
+
+        def over_the_grid(shape):
+            return (tuple(shape[-2:]) == grid and int(np.prod(shape[:-2])) > 1) or \
+                (shape[-1:] == (grid[0] * grid[1],) and int(np.prod(shape[:-1])) > 1)
+
+        assert len(shapes) == len(tape)
+        assert [s for s in shapes if over_the_grid(s)] == []
+
+    def test_desk_step_peak_traced_memory(self):
+        # one forward and backward pass of a warm desk model; 2.82 MiB while
+        # grid2 and grid3 ran over the whole grid
+        model, loss_fn = _desk_step()
+        with Tape() as tape:
+            tape.backward(loss_fn(), model.parameters())
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                tape.backward(loss_fn(), model.parameters())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.40 * 2**20
 
     def test_desk_step_gradients_own_their_memory(self):
         model, loss_fn = _desk_step()
