@@ -94,10 +94,10 @@ class Linear(Module):
 class MLP(Module):
     """Stack of affine layers with ReLU between them (none after the last)."""
 
-    def __init__(self, rng: np.random.Generator, widths: list[int], bias: bool = True):
+    def __init__(self, rng: np.random.Generator, widths: list[int]):
         if len(widths) < 2:
             raise ShapeError("MLP needs at least input and output widths")
-        self.layers = [Linear(rng, a, b, bias=bias) for a, b in zip(widths[:-1], widths[1:])]
+        self.layers = [Linear(rng, a, b) for a, b in zip(widths[:-1], widths[1:])]
 
     def __call__(self, x: Tensor) -> Tensor:
         last = len(self.layers) - 1
@@ -113,7 +113,7 @@ class _ConvNd(Module):
     _op = None
 
     def __init__(self, rng: np.random.Generator, in_channels: int, out_channels: int,
-                 kernel_size, padding=0, bias: bool = True):
+                 kernel_size, padding=0):
         k = (kernel_size,) * self._rank if isinstance(kernel_size, int) else tuple(kernel_size)
         if len(k) != self._rank:
             raise ShapeError(f"kernel_size must have {self._rank} extents")
@@ -121,7 +121,7 @@ class _ConvNd(Module):
         fan_out = out_channels * int(np.prod(k))
         self.weight = T.parameter(glorot_uniform(rng, (out_channels, in_channels, *k),
                                                  fan_in, fan_out))
-        self.bias = T.parameter(np.zeros(out_channels)) if bias else None
+        self.bias = T.parameter(np.zeros(out_channels))
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -65,8 +65,12 @@ class VideoFeatureSequence:
             raise ShapeError(f"{self.video_id}: feature sequence has no snippets")
         if self.snippet_stride <= 0:
             raise ShapeError(f"{self.video_id}: snippet_stride must be positive")
+        self.snippets[0].validate(f"{self.video_id} snippet 0")
         d_e, d_a, d_o = self.dims()
-        for i, s in enumerate(self.snippets):
+        if 0 in (d_e, d_a, d_o):
+            raise ShapeError(f"{self.video_id}: a stream has width 0 "
+                             f"(d_e={d_e}, d_a={d_a}, d_o={d_o})")
+        for i, s in enumerate(self.snippets[1:], 1):
             s.validate(f"{self.video_id} snippet {i}")
             if s.environment.shape[0] != d_e or s.actors.shape[1] != d_a \
                     or s.objects.shape[1] != d_o:

@@ -6,9 +6,12 @@ floating point. Planted actions start and end exactly on snippet boundaries,
 which means the proposal grid contains a cell with overlap 1.0 for each one.
 
 Class signal is planted in all three streams, but only two of them are
-boundary-exact: the first actor row is boosted and the object rows are picked
-from a small embedded vocabulary by the real selector on exactly the action
-snippets. The environment bump overshoots the action by a random
+boundary-exact: the first actor row is boosted on exactly the action
+snippets, and so is the query embedding from which each snippet's objects
+are chosen. The queries stand in for one frame embedding per snippet; after
+a video's snippets are drawn, one ``EmbeddedVocabulary.select`` call over
+all of them picks each snippet's object rows from a small embedded
+vocabulary. The environment bump overshoots the action by a random
 0..ENV_OVERHANG snippets on each side, so the environment stream alone cannot
 localize boundaries precisely; resolving the overhang requires the other
 streams.
@@ -34,7 +37,7 @@ from tapgkit.data.features import (
     save_features,
 )
 from tapgkit.errors import ConfigError
-from tapgkit.object_vocab import EmbeddedFrame, EmbeddedVocabulary, save_vocabulary
+from tapgkit.object_vocab import EmbeddedVocabulary, save_vocabulary
 
 CLASS_WORDS = ("swing", "lift", "throw", "kick", "spin", "fold", "pour", "wave")
 ENV_OVERHANG = 1
@@ -163,7 +166,7 @@ def generate_corpus(cfg: SyntheticConfig) -> SyntheticCorpus:
             hi = e + int(rng.integers(0, ENV_OVERHANG + 1))
             env_spans.append((max(lo, 0), min(hi, cfg.num_snippets), c))
 
-        snippets = []
+        streams, queries = [], []
         for t in range(cfg.num_snippets):
             cls = covering.get(t)
             env = cfg.noise * rng.standard_normal(cfg.env_dim)
@@ -183,14 +186,17 @@ def generate_corpus(cfg: SyntheticConfig) -> SyntheticCorpus:
                 query = cfg.signal * object_dirs[cls] + cfg.noise * rng.standard_normal(cfg.object_dim)
             else:
                 query = rng.standard_normal(cfg.object_dim)
-            frame = EmbeddedFrame(frame_index=t * cfg.snippet_stride, embedding=query)
-            objects, _names = vocab.select_objects([frame], cfg.objects_per_snippet)
+            streams.append((env, actors))
+            queries.append(query)
 
-            snippets.append(SnippetBundle(
-                environment=env.astype(np.float32),
-                actors=actors.astype(np.float32),
-                objects=objects.astype(np.float32),
-            ))
+        # each snippet's query stands in for its one frame embedding
+        picked = vocab.select(np.array(queries)[:, None, :], cfg.objects_per_snippet)
+        objects = vocab.vectors[picked].astype(np.float32)
+        snippets = [
+            SnippetBundle(environment=env.astype(np.float32),
+                          actors=actors.astype(np.float32), objects=obj)
+            for (env, actors), obj in zip(streams, objects)
+        ]
         seq = VideoFeatureSequence(video_id, cfg.snippet_stride, snippets)
         seq.validate()
 

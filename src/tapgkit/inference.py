@@ -61,19 +61,19 @@ def local_maxima(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep).astype(np.int64)
 
 
-def boundary_candidates(values: np.ndarray, ratio: float = 0.5) -> np.ndarray:
+def boundary_candidates(values: np.ndarray) -> np.ndarray:
     """Candidate boundary points: local maxima plus high-probability points.
 
     A trained boundary head often puts a near-flat plateau of top
     probabilities around the true boundary; float noise then makes the
-    plateau's argmax land one snippet off. Points reaching ``ratio`` times
-    the sequence maximum are therefore candidates too, not just the maxima.
+    plateau's argmax land one snippet off. Points reaching half the sequence
+    maximum are therefore candidates too, not just the maxima.
     """
     values = np.asarray(values, dtype=np.float64)
     maxima = local_maxima(values)
     if values.size == 0:
         return maxima
-    high = np.flatnonzero(values >= ratio * values.max())
+    high = np.flatnonzero(values >= 0.5 * values.max())
     return np.union1d(maxima, high).astype(np.int64)
 
 

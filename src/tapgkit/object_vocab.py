@@ -1,9 +1,11 @@
-"""Object stream source: pick vocabulary entries most similar to frame embeddings.
+"""Object stream source: pick the vocabulary entries closest to a snippet's frames.
 
-A vocabulary is a fixed set of named embedding vectors (one per object
-concept). Given the embeddings of the frames inside a snippet, the selector
-scores every vocabulary entry by mean cosine similarity over those frames and
-returns the top-k entries; their vectors become the snippet's object rows.
+A vocabulary is a fixed set of named embedding vectors, one per object
+concept. ``EmbeddedVocabulary.select`` takes the frame embeddings of a batch
+of snippets as one (snippets, frames, dim) array, scores every entry by its
+mean cosine similarity over each snippet's frames and returns each snippet's
+top-k entry indices, best first; the vectors at those indices become the
+snippet's object rows.
 
 Ties are broken by vocabulary order (lower index wins), so selection is
 deterministic for identical scores.
@@ -12,18 +14,11 @@ deterministic for identical scores.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from tapgkit.errors import DegenerateInputError, EmptyInputError, ShapeError
 from tapgkit.files import write_atomic
-
-
-@dataclass
-class EmbeddedFrame:
-    frame_index: int
-    embedding: np.ndarray  # (d,)
 
 
 class EmbeddedVocabulary:
@@ -43,49 +38,31 @@ class EmbeddedVocabulary:
         self.vectors = vectors
         self._norms = norms
 
-    def __len__(self) -> int:
-        return len(self.names)
+    def select(self, frames: np.ndarray, k: int) -> np.ndarray:
+        """(snippets, k) entry indices: the top-k by mean cosine over frames.
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def cosine_scores(self, query: np.ndarray) -> np.ndarray:
-        """Cosine similarity of one query vector against every entry."""
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.dim,):
-            raise ShapeError(f"query shape {query.shape} != ({self.dim},)")
-        qn = np.linalg.norm(query)
-        if qn == 0.0:
-            raise DegenerateInputError("zero-norm query embedding")
-        return (self.vectors @ query) / (self._norms * qn)
-
-    def top_k(self, scores: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the k best scores, descending, ties by lower index."""
+        ``frames`` is (snippets, frames, dim). Fewer than k indices come back
+        only when the vocabulary itself is smaller than k.
+        """
         if k <= 0:
             raise ShapeError(f"k must be positive, got {k}")
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != (len(self),):
-            raise ShapeError(f"scores shape {scores.shape} != ({len(self)},)")
-        order = np.argsort(-scores, kind="stable")
-        return order[: min(k, len(self))]
-
-    def select_objects(self, frames: list[EmbeddedFrame], k: int) -> tuple[np.ndarray, list[str]]:
-        """Object rows for one snippet: top-k entries by mean cosine over frames.
-
-        Returns the selected vectors (k, dim) and their names. Fewer than k
-        entries come back only when the vocabulary itself is smaller than k.
-        """
-        if not frames:
+        frames = np.asarray(frames, dtype=np.float64)
+        dim = self.vectors.shape[1]
+        if frames.ndim != 3 or frames.shape[2] != dim:
+            raise ShapeError(f"frames shape {frames.shape} != (snippets, frames, {dim})")
+        if frames.shape[1] == 0:
             raise EmptyInputError("snippet has no embedded frames")
-        mean_scores = np.mean([self.cosine_scores(f.embedding) for f in frames], axis=0)
-        idx = self.top_k(mean_scores, k)
-        return self.vectors[idx].copy(), [self.names[i] for i in idx]
+        frame_norms = np.linalg.norm(frames, axis=2)
+        if np.any(frame_norms == 0.0):
+            raise DegenerateInputError("zero-norm frame embedding")
+        cosines = (frames @ self.vectors.T) / (self._norms * frame_norms[..., None])
+        order = np.argsort(-cosines.mean(axis=1), axis=1, kind="stable")
+        return order[:, :k]
 
 
 def save_vocabulary(path, vocab: EmbeddedVocabulary) -> None:
     payload = {
-        "dim": vocab.dim,
+        "dim": vocab.vectors.shape[1],
         "entries": [
             {"name": name, "vector": vec.tolist()}
             for name, vec in zip(vocab.names, vocab.vectors)

@@ -7,6 +7,7 @@ import pytest
 
 from tapgkit.autodiff.checkpoint import load_checkpoint
 from tapgkit.cli import main
+from tapgkit.data.features import load_features, save_features
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +268,72 @@ class TestFailureModes:
                      "--preset", "bogus"])
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def _config_error(capsys) -> str:
+    """The message of the one-line JSON ConfigError a failed command printed."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    return payload["message"]
+
+
+class TestCorpusRejections:
+    """Every corpus ``_load_corpus`` refuses stops ``train`` with a ConfigError."""
+
+    def _train(self, small_ini, data, tmp_path):
+        return main(["train", "--config", str(small_ini), "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+
+    def _copy(self, corpus_dir, tmp_path):
+        data = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, data)
+        return data, sorted(p.stem for p in (data / "features").iterdir())
+
+    def test_annotation_file_without_videos(self, small_ini, corpus_dir, tmp_path, capsys):
+        data, _ = self._copy(corpus_dir, tmp_path)
+        (data / "annotations.json").write_text("{}")
+        assert self._train(small_ini, data, tmp_path) == 2
+        assert "lists no videos" in _config_error(capsys)
+
+    def test_missing_feature_file(self, small_ini, corpus_dir, tmp_path, capsys):
+        data, vids = self._copy(corpus_dir, tmp_path)
+        (data / "features" / f"{vids[2]}.feat").unlink()
+        assert self._train(small_ini, data, tmp_path) == 2
+        assert vids[2] in _config_error(capsys)
+
+    @pytest.mark.parametrize("change", ["snippet_count", "stream_width", "stride"])
+    def test_video_unlike_the_rest(self, small_ini, corpus_dir, tmp_path, capsys, change):
+        data, vids = self._copy(corpus_dir, tmp_path)
+        path = data / "features" / f"{vids[1]}.feat"
+        seq = load_features(path, vids[1])
+        if change == "snippet_count":
+            seq.snippets.pop()
+        elif change == "stream_width":
+            for s in seq.snippets:
+                s.environment = s.environment[:-1]
+        else:
+            seq.snippet_stride *= 2
+        save_features(path, seq)
+        assert self._train(small_ini, data, tmp_path) == 2
+        message = _config_error(capsys)
+        assert vids[1] in message
+        assert ("stride" in message) == (change == "stride")
+
+    def test_resume_at_final_epoch(self, small_ini, corpus_dir, run_dir, tmp_path, capsys):
+        code = main(["train", "--config", str(small_ini), "--data", str(corpus_dir),
+                     "--out", str(tmp_path / "more"),
+                     "--resume", str(run_dir / "checkpoint.tapg")])
+        assert code == 2
+        assert "nothing to do" in _config_error(capsys)
+        assert not (tmp_path / "more" / "checkpoint.tapg").exists()
+
+    @pytest.mark.parametrize("values", ["1,ten", "0x1", "", " , ,"])
+    def test_sweep_values_not_a_number_list(self, small_ini, corpus_dir, tmp_path,
+                                            capsys, values):
+        code = main(["sweep", "--config", str(small_ini), "--data", str(corpus_dir),
+                     "--values", values, "--out", str(tmp_path / "sweep.json")])
+        assert code == 2
+        assert "--values" in _config_error(capsys)
+        assert not (tmp_path / "sweep.json").exists()

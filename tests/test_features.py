@@ -76,6 +76,26 @@ class TestValidation:
         with pytest.raises(ShapeError):
             VideoFeatureSequence("v", 8, []).validate()
 
+    @pytest.mark.parametrize("widths", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_zero_stream_width_rejected_and_not_saved(self, tmp_path, widths):
+        # the loader refuses a header of width 0, so such a file must not be written
+        d_e, d_a, d_o = widths
+        seq = VideoFeatureSequence("clip_3", 8, [SnippetBundle(
+            np.ones(d_e, np.float32), np.ones((2, d_a), np.float32),
+            np.ones((2, d_o), np.float32))])
+        with pytest.raises(ShapeError, match="clip_3.*width 0"):
+            seq.validate()
+        path = tmp_path / "clip_3.feat"
+        with pytest.raises(ShapeError):
+            save_features(path, seq)
+        assert not path.exists()
+
+    def test_first_snippet_checked_before_its_widths_are_read(self):
+        seq = VideoFeatureSequence("v", 8, [SnippetBundle(
+            np.ones(3, np.float32), np.ones(4, np.float32), np.ones((1, 2), np.float32))])
+        with pytest.raises(ShapeError, match="v snippet 0"):
+            seq.validate()
+
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path):

@@ -117,12 +117,8 @@ class TestBoundaryCandidates:
     def test_reduces_to_maxima_when_rest_is_low(self):
         values = np.array([0.01, 0.9, 0.01, 0.02, 0.01])
         np.testing.assert_array_equal(boundary_candidates(values), [1, 3])
-
-    def test_ratio_parameter(self):
-        values = np.array([0.3, 1.0, 0.05])
-        np.testing.assert_array_equal(boundary_candidates(values, ratio=0.25),
-                                      [0, 1])
-        np.testing.assert_array_equal(boundary_candidates(values, ratio=0.5),
+        # 0.3 is below half the maximum and is not a local max
+        np.testing.assert_array_equal(boundary_candidates(np.array([0.3, 1.0, 0.05])),
                                       [1])
 
 

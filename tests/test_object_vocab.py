@@ -1,4 +1,4 @@
-"""Vocabulary selector: cosine scores, deterministic ties, the written file."""
+"""Vocabulary selector: mean-cosine ranking, deterministic ties, the written file."""
 
 import json
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tapgkit.errors import DegenerateInputError, EmptyInputError, ShapeError
-from tapgkit.object_vocab import EmbeddedFrame, EmbeddedVocabulary, save_vocabulary
+from tapgkit.object_vocab import EmbeddedVocabulary, save_vocabulary
 
 
 def _vocab(rng, n=8, d=5):
@@ -14,30 +14,47 @@ def _vocab(rng, n=8, d=5):
                               rng.standard_normal((n, d)))
 
 
+def _oracle(vocab, frames, k):
+    """Loop reference: mean cosine per entry, sorted best first, ties to lower index."""
+    picked = []
+    for snippet in frames:
+        scores = [
+            np.mean([v @ f / (np.linalg.norm(v) * np.linalg.norm(f)) for f in snippet])
+            for v in vocab.vectors
+        ]
+        ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        picked.append(ranked[:k])
+    return np.array(picked)
+
+
 class TestCosine:
+    """Scoring: each entry's mean cosine over a snippet's frames."""
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_direct_formula(self, seed):
         rng = np.random.default_rng(seed)
         vocab = _vocab(rng)
-        q = rng.standard_normal(5)
-        got = vocab.cosine_scores(q)
-        want = [
-            float(v @ q / (np.linalg.norm(v) * np.linalg.norm(q)))
-            for v in vocab.vectors
-        ]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        s, f = rng.integers(1, 5, size=2)
+        frames = rng.standard_normal((s, f, 5))
+        k = int(rng.integers(1, 9))
+        got = vocab.select(frames, k)
+        assert got.shape == (s, k)
+        np.testing.assert_array_equal(got, _oracle(vocab, frames, k))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         vocab = _vocab(rng)
-        q = rng.standard_normal(5)
-        np.testing.assert_allclose(vocab.cosine_scores(q),
-                                   vocab.cosine_scores(10.0 * q), rtol=1e-12)
+        frames = rng.standard_normal((4, 3, 5))
+        scale = rng.uniform(0.1, 10.0, size=(4, 3, 1))
+        np.testing.assert_array_equal(vocab.select(frames, 8),
+                                      vocab.select(scale * frames, 8))
 
     def test_zero_norm_query_rejected(self):
         vocab = _vocab(np.random.default_rng(0))
+        frames = np.ones((2, 3, 5))
+        frames[1, 2] = 0.0
         with pytest.raises(DegenerateInputError):
-            vocab.cosine_scores(np.zeros(5))
+            vocab.select(frames, 2)
 
     def test_zero_norm_entry_rejected_at_construction(self):
         vectors = np.ones((3, 4))
@@ -47,52 +64,65 @@ class TestCosine:
 
 
 class TestTopK:
+    """Ranking: best first, ties to the lower index, at most the whole vocabulary."""
+
     def test_descending_selection(self):
         vocab = EmbeddedVocabulary(["a", "b", "c", "d"], np.eye(4))
-        scores = np.array([0.1, 0.9, 0.4, 0.7])
-        np.testing.assert_array_equal(vocab.top_k(scores, 3), [1, 3, 2])
+        frames = np.array([[[0.1, 0.9, 0.4, 0.7]]])
+        np.testing.assert_array_equal(vocab.select(frames, 3), [[1, 3, 2]])
 
     def test_exact_ties_break_by_lower_index(self):
         vocab = EmbeddedVocabulary(["a", "b", "c", "d"], np.eye(4))
-        scores = np.array([0.5, 0.9, 0.5, 0.9])
-        np.testing.assert_array_equal(vocab.top_k(scores, 4), [1, 3, 0, 2])
+        frames = np.array([[[0.5, 0.9, 0.5, 0.9]], [[1.0, 1.0, 1.0, 1.0]]])
+        np.testing.assert_array_equal(vocab.select(frames, 4),
+                                      [[1, 3, 0, 2], [0, 1, 2, 3]])
 
     def test_k_larger_than_vocab_returns_everything(self):
         vocab = EmbeddedVocabulary(["a", "b"], np.eye(2))
-        assert len(vocab.top_k(np.array([0.2, 0.1]), 10)) == 2
+        frames = np.array([[[0.2, 0.1]], [[0.1, 0.2]]])
+        for k in (2, 10):
+            np.testing.assert_array_equal(vocab.select(frames, k), [[0, 1], [1, 0]])
 
     def test_invalid_k_rejected(self):
         vocab = EmbeddedVocabulary(["a"], np.ones((1, 2)))
-        with pytest.raises(ShapeError):
-            vocab.top_k(np.array([1.0]), 0)
+        for k in (0, -1):
+            with pytest.raises(ShapeError):
+                vocab.select(np.ones((1, 1, 2)), k)
 
 
 class TestSelectObjects:
     def test_mean_over_frames(self):
-        vocab = EmbeddedVocabulary(["x", "y"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        frames = [
-            EmbeddedFrame(0, np.array([1.0, 0.1])),
-            EmbeddedFrame(1, np.array([1.0, -0.1])),
-        ]
-        vectors, names = vocab.select_objects(frames, 1)
-        assert names == ["x"]
-        np.testing.assert_array_equal(vectors, [[1.0, 0.0]])
+        vocab = EmbeddedVocabulary(["x", "y"], np.eye(2))
+        frames = np.array([[[1.0, 0.1], [1.0, -0.1]], [[0.1, 1.0], [-0.1, 1.0]]])
+        np.testing.assert_array_equal(vocab.select(frames, 1), [[0], [1]])
 
     def test_no_frames_rejected(self):
         vocab = _vocab(np.random.default_rng(1))
         with pytest.raises(EmptyInputError):
-            vocab.select_objects([], 2)
+            vocab.select(np.zeros((2, 0, 5)), 2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_selected_rows_are_vocabulary_vectors(self, seed):
         rng = np.random.default_rng(seed)
         vocab = _vocab(rng)
-        frames = [EmbeddedFrame(i, rng.standard_normal(5)) for i in range(3)]
-        vectors, names = vocab.select_objects(frames, 4)
-        assert vectors.shape == (4, 5)
-        for vec, name in zip(vectors, names):
-            idx = vocab.names.index(name)
-            np.testing.assert_array_equal(vec, vocab.vectors[idx])
+        picked = vocab.select(rng.standard_normal((3, 2, 5)), 4)
+        assert picked.shape == (3, 4)
+        for row in picked:
+            assert len(set(row.tolist())) == 4
+            assert all(0 <= i < len(vocab.names) for i in row)
+
+    def test_batch_equals_each_snippet_alone(self):
+        rng = np.random.default_rng(11)
+        vocab = _vocab(rng)
+        frames = rng.standard_normal((6, 3, 5))
+        alone = [vocab.select(frames[i:i + 1], 4)[0] for i in range(6)]
+        np.testing.assert_array_equal(vocab.select(frames, 4), alone)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5), (1, 2, 4), (1, 2, 6), (1, 1, 1, 5)])
+    def test_bad_frames_shape_rejected(self, shape):
+        vocab = _vocab(np.random.default_rng(2))
+        with pytest.raises(ShapeError):
+            vocab.select(np.ones(shape), 2)
 
 
 class TestFileFormat:
