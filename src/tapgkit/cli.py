@@ -28,6 +28,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ from tapgkit.evaluation import (
 )
 from tapgkit.files import write_atomic
 from tapgkit.inference import (
-    generate_proposals,
+    decode_video,
     load_proposals,
     save_proposals,
     suppression_preset,
@@ -124,12 +125,42 @@ def _build_model(cfg: RunConfig, features: dict[str, VideoFeatureSequence],
 
 def _decode_all(model: ProposalModel, features: dict[str, VideoFeatureSequence],
                 annotations: dict[str, VideoAnnotation], suppression):
-    proposals = {}
+    """Proposals per video, and the decode record of the ``infer`` manifest:
+    candidates per video before and after suppression, and the seconds spent
+    pairing and suppressing (the forward passes are not counted)."""
+    proposals, candidates, seconds = {}, [], 0.0
     for vid in sorted(features):
         output = model(features[vid])
-        proposals[vid] = generate_proposals(
+        start = time.perf_counter()
+        count, proposals[vid] = decode_video(
             output, features[vid].snippet_stride, annotations[vid].fps, suppression)
-    return proposals
+        seconds += time.perf_counter() - start
+        candidates.append(count)
+    kept = [len(p) for p in proposals.values()]
+    return proposals, {
+        "candidates_per_video": {"mean": float(np.mean(candidates)), "max": max(candidates)},
+        "kept_per_video": {"mean": float(np.mean(kept)), "max": max(kept)},
+        "seconds": seconds,
+    }
+
+
+def _environment() -> dict:
+    """What a seeded run's bits depend on besides the seed and the config:
+    the numpy build, its BLAS library and the BLAS thread settings."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        library = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):    # numpy before 2.0 has no dict mode
+        library = "unknown"
+    affinity = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    return {
+        "numpy": np.__version__,
+        "blas": library,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "cpu_affinity": affinity,
+    }
 
 
 def _gt_spans(annotations: dict[str, VideoAnnotation]) -> dict[str, np.ndarray]:
@@ -210,6 +241,7 @@ def _cmd_train(args) -> int:
         "trainable_parameters": trainable,
         "fixed_parameters": sum(t.size for _, t in model.named_state()) - trainable,
     }
+    manifest["environment"] = _environment()
     write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2))
     print(json.dumps({"command": "train", "epochs": len(reports),
                       "final_mean_loss": final,
@@ -225,13 +257,14 @@ def _cmd_infer(args) -> int:
     annotations, features = _load_corpus(data_root)
     model = _build_model(cfg, features, cfg.training.seed)
     load_training_state(args.checkpoint, model)
-    proposals = _decode_all(model, features, annotations, cfg.suppression)
+    proposals, decode = _decode_all(model, features, annotations, cfg.suppression)
     save_proposals(args.out, proposals)
     _print_manifest("infer", cfg, {
         "checkpoint": str(args.checkpoint),
         "out": str(args.out),
         "videos": len(proposals),
         "proposals": sum(len(v) for v in proposals.values()),
+        "decode": decode,
     })
     return 0
 
@@ -287,7 +320,7 @@ def _cmd_sweep(args) -> int:
         run_cfg = dataclasses.replace(cfg.training, mse_weight=weight)
         model = _build_model(cfg, features, run_cfg.seed)
         reports = train(model, features, annotations, run_cfg)
-        proposals = _decode_all(model, features, annotations, cfg.suppression)
+        proposals, _ = _decode_all(model, features, annotations, cfg.suppression)
         ar10 = average_recall(proposals, gt, 10, cfg.evaluation.tious)
         results.append({
             "mse_weight": weight,

@@ -148,6 +148,11 @@ def suppress(rows: np.ndarray,
     Each pick keeps the live row with the highest score; ties go to the
     earlier start, then to input order. Returns the kept rows, with the
     scores they had when picked, in pick order.
+
+    The pick loop rescores in place: every row-sized term is written into
+    buffers allocated once per call, by the same float64 operations in the
+    same order as the plain expressions in the comments, so the output does
+    not depend on the buffering.
     """
     cfg.validate()
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
@@ -161,8 +166,14 @@ def suppress(rows: np.ndarray,
     # combined with each pick's in the same order as those expressions
     starts, ends = rows[:, 0].copy(), rows[:, 1].copy()
     lengths, centres = ends - starts, starts + ends
+    # with no length negative, inter <= the shorter length even rounded, so
+    # the union with a pick of positive length is positive and needs no mask
+    ordered = bool((lengths >= 0.0).all())
+    n = len(rows)
+    inter, union, iou, bar = (np.empty(n) for _ in range(4))
+    mask, alive = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     kept, scores = [], []
-    for _ in range(min(cfg.max_keep, len(rows))):
+    for _ in range(min(cfg.max_keep, n)):
         best = int(np.argmax(live))
         if live[best] == -math.inf:
             break
@@ -170,22 +181,40 @@ def suppress(rows: np.ndarray,
         kept.append(best)
         scores.append(live[best])
         live[best] = -math.inf
-        inter = np.maximum(0.0, np.minimum(end, ends) - np.maximum(start, starts))
-        union = (lengths[best] + lengths) - inter
-        iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+        # inter = max(0, min(end, ends) - max(start, starts))
+        np.minimum(end, ends, out=inter)
+        np.subtract(inter, np.maximum(start, starts, out=union), out=inter)
+        np.maximum(0.0, inter, out=inter)
+        # union = (length + lengths) - inter; iou = inter / union, 0 where union <= 0
+        np.subtract(np.add(lengths[best], lengths, out=union), inter, out=union)
+        if ordered and lengths[best] > 0.0:
+            np.divide(inter, union, out=iou)
+        else:
+            iou.fill(0.0)
+            np.divide(inter, union, out=iou, where=np.greater(union, 0.0, out=mask))
         if not soft:
-            live[iou > cfg.threshold] = -math.inf
+            np.copyto(live, -math.inf, where=np.greater(iou, cfg.threshold, out=mask))
             continue
         duration = lengths[best]
-        gap = np.abs(centres[best] - centres) / 2.0
-        distance = gap / duration if duration > 0 else math.inf
+        if duration > 0:
+            # bar = offset + weight * (|centre - centres| / 2 / duration)
+            np.subtract(centres[best], centres, out=bar)
+            np.divide(np.abs(bar, out=bar), 2.0, out=bar)
+            np.divide(bar, duration, out=bar)
+            np.add(cfg.overlap_offset,
+                   np.multiply(cfg.distance_weight, bar, out=bar), out=bar)
+            threshold = bar
+        else:
+            # a scalar: in an array, 0 * inf would warn
+            threshold = cfg.overlap_offset + cfg.distance_weight * math.inf
         # only live rows decay: a factor that underflows to 0 would turn -inf
         # into nan, which argmax picks first
-        hit = (iou >= cfg.overlap_offset + cfg.distance_weight * distance) \
-            & (live > -math.inf)
+        np.greater_equal(iou, threshold, out=mask)
+        mask &= np.greater(live, -math.inf, out=alive)
+        hit = mask.nonzero()[0]
         # math.exp, not np.exp: the two differ in the last bit on some inputs
-        live[hit] *= [math.exp(x) for x in (-iou[hit] / cfg.sigma).tolist()]
-        live[live < cfg.score_floor] = -math.inf
+        live[hit] *= list(map(math.exp, (-iou[hit] / cfg.sigma).tolist()))
+        np.copyto(live, -math.inf, where=np.less(live, cfg.score_floor, out=mask))
     out = rows[kept]
     out[:, 2] = scores
     return out
@@ -223,9 +252,16 @@ def generate_proposals(output: BoundaryNetOutput, snippet_stride: int, fps: floa
     No annotation reaches this function, so the caller checks the time axis
     (``data.check_time_axis``); the command line does when it loads a corpus.
     """
+    return decode_video(output, snippet_stride, fps, suppression)[1]
+
+
+def decode_video(output: BoundaryNetOutput, snippet_stride: int, fps: float,
+                 suppression: SoftSuppressionConfig | HardSuppressionConfig,
+                 ) -> tuple[int, list[Proposal]]:
+    """``generate_proposals`` with the candidate count before suppression."""
     seconds_per_snippet = snippet_stride / fps
     rows = pair_candidates(output) * [seconds_per_snippet, seconds_per_snippet, 1.0]
-    return _proposals(suppress(rows, suppression))
+    return len(rows), _proposals(suppress(rows, suppression))
 
 
 def merge_class_scores(proposals: list[Proposal], class_scores: dict[str, float],

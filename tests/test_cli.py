@@ -1,8 +1,10 @@
 """Command-line entry points, exercised end to end in a temp directory."""
 
 import json
+import os
 import shutil
 
+import numpy as np
 import pytest
 
 from tapgkit.autodiff.checkpoint import load_checkpoint
@@ -117,6 +119,14 @@ class TestTrainCommand:
         assert run["fixed_parameters"] == 2 * 2 * (8 * 16 + 16 + 16 * 16 + 16)
         assert run["trainable_parameters"] == moments == model - run["fixed_parameters"]
 
+    def test_manifest_records_numpy_and_blas_threads(self, run_dir):
+        env = json.loads((run_dir / "manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["blas"], str) and env["blas"]
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            assert env[var] == os.environ.get(var)
+        assert isinstance(env["cpu_affinity"], int) and env["cpu_affinity"] >= 1
+
     def test_resume_continues(self, small_ini, corpus_dir, run_dir, tmp_path):
         out = tmp_path / "resumed"
         code = main(["train", "--config", str(small_ini),
@@ -165,6 +175,13 @@ class TestInferCommand:
         assert all(isinstance(v, list) for v in table.values())
         manifest = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert manifest["videos"] == 4
+        decode = manifest["decode"]
+        kept = [len(v) for v in table.values()]
+        assert decode["kept_per_video"] == {"mean": np.mean(kept), "max": max(kept)}
+        before = decode["candidates_per_video"]
+        assert before["max"] >= before["mean"] >= decode["kept_per_video"]["mean"]
+        assert before["max"] >= max(kept) and before["max"] <= 16 * 15 // 2
+        assert decode["seconds"] > 0.0
 
     def test_preset_override(self, small_ini, corpus_dir, run_dir, tmp_path):
         out = tmp_path / "proposals.json"

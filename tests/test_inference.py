@@ -415,8 +415,10 @@ def _decode_flat_rows():
 
 
 def _edge_rows(rng):
-    """Rows with tied starts and scores and zero-length intervals, on
-    continuous draws so that a reordered sum would round differently."""
+    """Rows with tied starts and scores, zero-length intervals and reversed
+    copies (an end before its start: a negative length, and a union of
+    exactly 0 with the original), on continuous draws so that a reordered
+    sum would round differently."""
     n = int(rng.integers(1, 40))
     starts = rng.uniform(0.0, 8.0, n)
     starts[rng.random(n) < 0.3] = starts[0]
@@ -424,11 +426,36 @@ def _edge_rows(rng):
     scores = rng.uniform(0.0, 1.0, n)
     tied = rng.random(n) < 0.5
     scores[tied] = rng.choice([0.9, 0.6, 1e-3, 5e-5], int(tied.sum()))
-    return np.column_stack([starts, ends, scores])
+    rows = np.column_stack([starts, ends, scores])
+    return np.vstack([rows, rows[rng.random(n) < 0.3][:, [1, 0, 2]]])
+
+
+def _paper_grid_rows(seed):
+    """Candidate rows, in seconds, of a flat T = D = 100 output: every start
+    reaches half the maximum, so every one of the 4,950 pairs is a candidate."""
+    rng = np.random.default_rng(seed)
+    valid = valid_cells(100, 100)
+    out = BoundaryNetOutput(
+        start=T.constant(rng.uniform(0.5, 1.0, 100)),
+        end=T.constant(rng.uniform(0.5, 1.0, 100)),
+        actionness=T.constant(rng.uniform(0.05, 0.95, int(valid.sum()))),
+        valid=valid,
+    )
+    return pair_candidates(out) * [2.0, 2.0, 1.0]
 
 
 class TestSuppressAgainstTheLoop:
     """Byte-equal output to the loop that rebuilt every term at each pick."""
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_paper_grid_candidates(self, preset):
+        cfg = suppression_preset(preset)
+        for seed in range(2):
+            rows = _paper_grid_rows(seed)
+            assert len(rows) == 100 * 99 // 2
+            got, want = suppress(rows, cfg), _suppress_loop(rows, cfg)
+            assert len(got) == cfg.max_keep
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_decode_flat_candidates(self, preset):
