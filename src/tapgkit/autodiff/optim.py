@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tapgkit.errors import EmptyInputError, GraphError
+from tapgkit.errors import EmptyInputError, GraphError, ShapeError
 from tapgkit.autodiff.tensor import Tensor
 
 
@@ -42,6 +42,27 @@ class Adam:
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [flat[a:b].reshape(p.data.shape)
                 for p, a, b in zip(self.params, self._bounds[:-1], self._bounds[1:])]
+
+    def _moments(self) -> dict[str, np.ndarray]:
+        named = {}
+        for i, (m, v) in enumerate(zip(self._m, self._v)):
+            named[f"optim.m.{i}"], named[f"optim.v.{i}"] = m, v
+        return named
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """The step count as ``optim.t``, then ``optim.m.{i}`` and ``optim.v.{i}``
+        for each parameter in order. The moments are views of the live state."""
+        return {"optim.t": np.array(float(self.t)), **self._moments()}
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Restore a ``state_dict`` taken over parameters of the same shapes."""
+        moments = self._moments()
+        if state.keys() != {"optim.t", *moments} or state["optim.t"].size != 1 or any(
+                state[name].shape != arr.shape for name, arr in moments.items()):
+            raise ShapeError("optimizer state does not match the parameters")
+        self.t = int(state["optim.t"].item())
+        for name, arr in moments.items():
+            arr[...] = state[name]
 
     def step(self) -> None:
         """One update of every parameter from its current gradient.

@@ -603,20 +603,22 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _from_op(out, inputs, backward)
 
 
-def sample_collapse(base: Tensor, weight: Tensor, sampling: Tensor) -> Tensor:
+def sample_collapse(base: Tensor, weight: Tensor, bias: Tensor, sampling: Tensor) -> Tensor:
     """Read ``base`` through a fixed sampling matrix, then collapse the samples.
 
     ``base`` is (c, T); ``sampling`` is a constant (T, n * m) whose column
     ``j * m + v`` places sample j of output column v; ``weight`` is
     (o, c, n, ...) with trailing extents of 1, a conv filter striding over
-    the n samples. The (o, m) result is
+    the n samples, and ``bias`` is its (o,) bias. The (o, m) result is
 
-        out[o, v] = sum over (i, j) of weight[o, i, j] * (base @ sampling)[i, j * m + v]
+        out[o, v] = bias[o]
+                    + sum over (i, j) of weight[o, i, j] * (base @ sampling)[i, j * m + v]
 
-    computed as those two products, in that order. The backward never forms
-    the (c * n, m) sampled matrix or its gradient: it maps the output
-    gradient back through the sampling matrix once, as dM (o, T, n), and
-    takes the weight and base gradients from dM with two small products.
+    computed as those two products, in that order, then the bias. The
+    backward never forms the (c * n, m) sampled matrix or its gradient: it
+    maps the output gradient back through the sampling matrix once, as dM
+    (o, T, n), and takes the weight and base gradients from dM with two small
+    products; the bias gradient is the output gradient's row sums.
     """
     if sampling.requires_grad:
         raise GraphError("sample_collapse reads a constant sampling matrix")
@@ -628,11 +630,16 @@ def sample_collapse(base: Tensor, weight: Tensor, sampling: Tensor) -> Tensor:
             or sampling.data.shape[0] != t or sampling.data.shape[1] % n):
         raise ShapeError(f"sample_collapse extents disagree: base {base.data.shape}, "
                          f"weight {weight.data.shape}, sampling {sampling.data.shape}")
+    if bias.data.shape != (o,):
+        raise ShapeError("conv bias extent must equal the filter count")
     m = sampling.data.shape[1] // n
     w = weight.data.reshape(o, c * n)
     out = w @ (base.data @ sampling.data).reshape(c * n, m)
+    out += bias.data[:, None]
 
     def backward(g):
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=1))
         dm = (g @ sampling.data.reshape(t * n, m).T).reshape(o, t, n)
         if weight.requires_grad:
             _accum(weight, np.matmul(base.data, dm).reshape(weight.data.shape))
@@ -640,7 +647,7 @@ def sample_collapse(base: Tensor, weight: Tensor, sampling: Tensor) -> Tensor:
             w_by_channel = np.ascontiguousarray(w.reshape(o, c, n).transpose(1, 0, 2))
             _accum(base, w_by_channel.reshape(c, o * n) @ dm.transpose(0, 2, 1).reshape(o * n, t))
 
-    return _from_op(out, (base, weight), backward)
+    return _from_op(out, (base, weight, bias), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ The sample collapse (``sample_collapse``) holds the weight (out, channels,
 num_samples, 1, 1) and bias of a conv3d striding over the samples. Sampling
 and collapse are one op, ``T.sample_collapse``: its forward multiplies the
 base sequence by the constant, then the weight, flattened to (out, channels *
-num_samples), by the sampled (channels * num_samples, V + 1) matrix. Its
-backward maps the output gradient back through the constant once, to
-(out, T, num_samples), and reads the weight and base gradients from that
-with two small products, so a training step neither keeps the sampled
-matrix nor forms its gradient. The outside column collapses to the bias
-alone, the one vector every invalid cell holds, so the bias, ``relu`` and
-the 1x1 ``grid1`` run once per distinct column.
+num_samples), by the sampled (channels * num_samples, V + 1) matrix, and adds
+the bias to every column. Its backward maps the output gradient back through
+the constant once, to (out, T, num_samples), and reads the weight and base
+gradients from that with two small products, so a training step neither
+keeps the sampled matrix nor forms its gradient. The outside column
+collapses to the bias alone, the one vector every invalid cell holds, so the
+bias, ``relu`` and the 1x1 ``grid1`` run once per distinct column.
 
 No loss or decode reads an invalid cell, so the rest of the head computes
 only the V valid cells. ``grid2``, a 3x3 conv with zero padding, is
@@ -44,7 +44,6 @@ snippet coordinates.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,26 +129,6 @@ def build_sampling_weights(num_snippets: int, max_duration: int,
     return w
 
 
-def _retain_freed_memory() -> None:
-    """Have glibc keep freed array memory in its heap instead of unmapping it.
-
-    A forward and backward pass frees megabytes of numpy temporaries. A
-    fixed 32 MiB mmap threshold (glibc's maximum) and 64 MiB trim threshold
-    keep them for reuse instead of mapping them afresh on the next pass.
-    Paired paper-grid benchmark runs have read the step 16% slower without
-    the pin in one round and no slower in another (README, Notes), so the
-    pin stays until paired runs show that dropping it costs nothing. This
-    is process-wide, and a no-op where libc has no ``mallopt``.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
-
-
 @dataclass
 class BoundaryNetOutput:
     start: Tensor        # (T,)
@@ -167,7 +146,6 @@ class BoundaryNetOutput:
 class BoundaryNet(Module):
     def __init__(self, rng: np.random.Generator, cfg: BoundaryNetConfig):
         cfg.validate()
-        _retain_freed_memory()
         self.cfg = cfg
         d = cfg.resolved_max_duration()
         self.trunk1 = Conv1d(rng, cfg.feature_dim, cfg.trunk_hidden, 3, padding=1)
@@ -205,8 +183,8 @@ class BoundaryNet(Module):
 
         c3d, h = cfg.proposal_conv3d_out, cfg.proposal_conv2d_hidden
         collapse = self.sample_collapse
-        x = T.sample_collapse(base, collapse.weight, self._sampling)  # (c3d, V+1)
-        x = T.relu(T.add(x, T.reshape(collapse.bias, (c3d, 1))))
+        x = T.relu(T.sample_collapse(base, collapse.weight, collapse.bias,
+                                     self._sampling))                # (c3d, V+1)
         x = T.relu(self.grid1(T.reshape(x, (c3d, 1, -1))))           # (h, 1, V+1)
         x = T.relu(T.neighbour_conv(T.reshape(x, (h, -1)), self.grid2.weight,
                                     self.grid2.bias, self._taps))     # (h, V)

@@ -181,7 +181,9 @@ def load_run_config(path=None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(path.read_text())
+        parser.read_string(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err})") from err
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err
 

@@ -297,12 +297,12 @@ def train(model: ProposalModel, features: dict[str, VideoFeatureSequence],
 EPOCH_KEY = "meta.epochs_completed"
 
 
-def _moments(optimizer: Adam) -> dict[str, np.ndarray]:
-    """Adam's moment arrays under their checkpoint entry names."""
-    named = {}
-    for i, (m, v) in enumerate(zip(optimizer._m, optimizer._v)):
-        named[f"optim.m.{i}"], named[f"optim.v.{i}"] = m, v
-    return named
+def _progress_count(path, name: str, value: np.ndarray) -> int:
+    """A progress entry's value: one finite whole number >= 0, or FileFormatError."""
+    if value.size != 1 or not float(value.item()).is_integer() or value.item() < 0:
+        got = value.item() if value.size == 1 else f"shape {value.shape}"
+        raise FileFormatError(f"{path}: entry {name!r} must be one whole number >= 0, got {got}")
+    return int(value.item())
 
 
 def save_training_state(path, model: ProposalModel, epochs_completed: int,
@@ -311,8 +311,7 @@ def save_training_state(path, model: ProposalModel, epochs_completed: int,
     state = model.state_dict()
     state[EPOCH_KEY] = np.array(float(epochs_completed))
     if optimizer is not None:
-        state["optim.t"] = np.array(float(optimizer.t))
-        state.update(_moments(optimizer))
+        state.update(optimizer.state_dict())
     save_checkpoint(path, state)
 
 
@@ -321,15 +320,14 @@ def load_training_state(path, model: ProposalModel, optimizer: Adam | None = Non
     state, which the file must then hold for exactly this model; returns the
     number of completed epochs (0 if absent)."""
     state = load_checkpoint(path)
-    epochs = int(state.pop(EPOCH_KEY).item()) if EPOCH_KEY in state else 0
+    epochs = _progress_count(path, EPOCH_KEY, state.pop(EPOCH_KEY)) if EPOCH_KEY in state else 0
     saved = {name: state.pop(name) for name in [n for n in state if n.startswith("optim.")]}
     model.load_state_dict(state)
     if optimizer is not None:
-        moments = _moments(optimizer)
-        if saved.keys() != {"optim.t", *moments} or any(
-                saved[name].shape != arr.shape for name, arr in moments.items()):
-            raise FileFormatError(f"{path}: optimizer state does not match the model")
-        optimizer.t = int(saved["optim.t"].item())
-        for name, arr in moments.items():
-            arr[...] = saved[name]
+        if "optim.t" in saved:
+            _progress_count(path, "optim.t", saved["optim.t"])
+        try:
+            optimizer.load_state_dict(saved)
+        except ShapeError as err:
+            raise FileFormatError(f"{path}: optimizer state does not match the model") from err
     return epochs

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from tapgkit.autodiff.checkpoint import load_checkpoint
+from tapgkit.autodiff.checkpoint import load_checkpoint, save_checkpoint
 from tapgkit.cli import main
 from tapgkit.data.features import load_features, save_features
 
@@ -241,6 +241,28 @@ class TestFailureModes:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[synthetic]\nnum_videos = 4\xff\n")
+        code = main(["synth", "--config", str(bad), "--out", str(tmp_path / "corpus")])
+        assert code == 2
+        assert str(bad) in _config_error(capsys)
+
+    def test_resume_from_a_bad_epoch_count(self, small_ini, corpus_dir, run_dir, tmp_path,
+                                           capsys):
+        state = load_checkpoint(run_dir / "checkpoint.tapg")
+        state["meta.epochs_completed"] = np.array(-3.0)
+        bad = tmp_path / "bad.tapg"
+        save_checkpoint(bad, state)
+        code = main(["train", "--config", str(small_ini), "--data", str(corpus_dir),
+                     "--out", str(tmp_path / "more"), "--resume", str(bad), "--epochs", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "FileFormatError"
+        assert "meta.epochs_completed" in payload["message"]
 
     def test_missing_corpus(self, small_ini, tmp_path, capsys):
         code = main(["train", "--config", str(small_ini),

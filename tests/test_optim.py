@@ -6,7 +6,7 @@ import pytest
 from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.optim import Adam
 from tapgkit.autodiff.tensor import Tape
-from tapgkit.errors import EmptyInputError, GraphError
+from tapgkit.errors import EmptyInputError, GraphError, ShapeError
 
 
 class TestAdam:
@@ -75,6 +75,54 @@ class TestAdam:
         fixed = T.constant(np.array([2.0]))
         with pytest.raises(GraphError, match=r"requires_grad at \[1\]"):
             Adam([x, fixed], lr=0.1)
+
+    def test_moment_entries_follow_parameter_order(self):
+        rng = np.random.default_rng(3)
+        params = [T.parameter(rng.standard_normal(s)) for s in [(4, 3), (7,), (2, 1, 3)]]
+        named = Adam(params).state_dict()
+        assert list(named) == ["optim.t"] + [f"optim.{k}.{i}" for i in range(len(params))
+                                             for k in "mv"]
+        for i, p in enumerate(params):
+            assert named[f"optim.m.{i}"].shape == named[f"optim.v.{i}"].shape == p.data.shape
+            assert named[f"optim.m.{i}"].dtype == p.data.dtype
+
+    def test_state_round_trip_continues_the_same_steps(self):
+        rng = np.random.default_rng(4)
+        start = [rng.standard_normal(s) for s in [(4, 3), (5,)]]
+        grads = [[rng.standard_normal(a.shape) for a in start] for _ in range(4)]
+
+        def run(resume_after):
+            params = [T.parameter(a) for a in start]
+            opt = Adam(params, lr=0.01)
+            for k, step_grads in enumerate(grads):
+                if k == resume_after:
+                    saved = {name: a.copy() for name, a in opt.state_dict().items()}
+                    opt = Adam(params, lr=0.01)
+                    opt.load_state_dict(saved)
+                for p, g in zip(params, step_grads):
+                    p.grad[...] = g
+                opt.step()
+            return opt, params
+
+        straight, resumed = run(None), run(2)
+        assert resumed[0].t == straight[0].t == 4
+        for a, b in zip(straight[1], resumed[1]):
+            assert np.array_equal(a.data, b.data)
+        for name, a in straight[0].state_dict().items():
+            assert np.array_equal(a, resumed[0].state_dict()[name]), name
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "shape"])
+    def test_state_for_other_parameters_rejected(self, change):
+        opt = Adam([T.parameter(np.ones((2, 3))), T.parameter(np.ones(4))])
+        state = dict(opt.state_dict())
+        if change == "missing":
+            del state["optim.v.1"]
+        elif change == "extra":
+            state["optim.m.2"] = np.zeros(1)
+        else:
+            state["optim.m.0"] = np.zeros((3, 2))
+        with pytest.raises(ShapeError, match="optimizer state"):
+            opt.load_state_dict(state)
 
 
 def _loop_adam(params, grads_per_step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):

@@ -641,7 +641,9 @@ class TestOpGradients:
             sampling = T.constant(sampling_columns(5, 4, 3).reshape(5, -1))
             base = _param(rng, 2, 5)
             weight = _param(rng, 4, 2, 3, 1, 1)
-            return (lambda: scalarize(T.sample_collapse(base, weight, sampling))), [base, weight]
+            bias = _param(rng, 4)
+            return ((lambda: scalarize(T.sample_collapse(base, weight, bias, sampling))),
+                    [base, weight, bias])
         self.run(seed, build)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -683,11 +685,11 @@ def test_every_exported_op_has_a_gradient_check():
     assert sorted(name for name in ops if f"T.{name}(" not in checked) == []
 
 
-def _composed_collapse(base, weight, sampling):
-    """The matching layer as plain ops: two products around a reshape."""
+def _composed_collapse(base, weight, bias, sampling):
+    """The matching layer as plain ops: two products around a reshape, then the bias."""
     o, c, n = weight.shape[:3]
     sampled = T.reshape(T.matmul(base, sampling), (c * n, -1))
-    return T.matmul(T.reshape(weight, (o, -1)), sampled)
+    return T.add(T.matmul(T.reshape(weight, (o, -1)), sampled), T.reshape(bias, (o, 1)))
 
 
 def _composed_bce(pred, pos, neg, lo, hi):
@@ -735,10 +737,11 @@ class TestFusedOpsAgainstCompositions:
             sampling = T.constant(sampling_columns(12, 12, 8, dtype).reshape(12, -1))
             base = T.parameter(rng.standard_normal((6, 12)))
             weight = T.parameter(rng.standard_normal((10, 6, 8, 1, 1)))
+            bias = T.parameter(rng.standard_normal(10))
             with Tape() as tape:
-                fused = T.sample_collapse(base, weight, sampling)
+                fused = T.sample_collapse(base, weight, bias, sampling)
                 assert len(tape) == 1
-            composed = _composed_collapse(base, weight, sampling)
+            composed = _composed_collapse(base, weight, bias, sampling)
         assert fused.data.dtype == dtype
         np.testing.assert_array_equal(fused.data, composed.data)
 
@@ -748,12 +751,13 @@ class TestFusedOpsAgainstCompositions:
         with T.default_dtype(dtype):
             sampling = T.constant(sampling_columns(12, 12, 8, dtype).reshape(12, -1))
             base_np, weight_np = rng.standard_normal((6, 12)), rng.standard_normal((10, 6, 8, 1, 1))
+            bias_np = rng.standard_normal(10)
             grads = []
             for op in (T.sample_collapse, _composed_collapse):
-                base, weight = T.parameter(base_np), T.parameter(weight_np)
+                base, weight, bias = (T.parameter(a) for a in (base_np, weight_np, bias_np))
                 with Tape() as tape:
-                    tape.backward(scalarize(op(base, weight, sampling)))
-                grads.append((base.grad, weight.grad))
+                    tape.backward(scalarize(op(base, weight, bias, sampling)))
+                grads.append((base.grad, weight.grad, bias.grad))
         rtol = 1e-5 if dtype == np.float32 else 1e-12
         for fused, composed in zip(*grads):
             np.testing.assert_allclose(fused, composed, rtol=rtol,
@@ -828,7 +832,8 @@ class TestFusedOpEdges:
     def test_sample_collapse_rejects_a_tracked_sampling_matrix(self):
         base, weight = T.parameter(np.ones((2, 5))), T.parameter(np.ones((3, 2, 2, 1, 1)))
         with pytest.raises(GraphError):
-            T.sample_collapse(base, weight, T.parameter(np.ones((5, 8))))
+            T.sample_collapse(base, weight, T.parameter(np.zeros(3)),
+                              T.parameter(np.ones((5, 8))))
 
     @pytest.mark.parametrize("base,weight,sampling", [
         ((2, 5), (3, 4, 2, 1, 1), (5, 8)),     # channels differ
@@ -840,7 +845,13 @@ class TestFusedOpEdges:
     def test_sample_collapse_rejects_disagreeing_extents(self, base, weight, sampling):
         with pytest.raises(ShapeError):
             T.sample_collapse(T.parameter(np.ones(base)), T.parameter(np.ones(weight)),
-                              T.constant(np.ones(sampling)))
+                              T.parameter(np.zeros(weight[0])), T.constant(np.ones(sampling)))
+
+    @pytest.mark.parametrize("bias", [(2,), (3, 1)])
+    def test_sample_collapse_rejects_a_bias_not_one_per_filter(self, bias):
+        with pytest.raises(ShapeError):
+            T.sample_collapse(T.parameter(np.ones((2, 5))), T.parameter(np.ones((3, 2, 2, 1, 1))),
+                              T.parameter(np.zeros(bias)), T.constant(np.ones((5, 8))))
 
 
 class TestConvGeometryCache:

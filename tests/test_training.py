@@ -28,7 +28,6 @@ from tapgkit.model import ProposalModel
 from tapgkit.representation import RepresentationConfig
 from tapgkit.training import (
     TrainConfig,
-    _moments,
     boundary_labels,
     grid_labels,
     load_training_state,
@@ -467,15 +466,6 @@ class TestCheckpointResume:
                         TrainConfig(epochs=4, seed=9), start_epoch=start)
         assert [r.epoch for r in reports] == [2, 3]
 
-    def test_moment_entries_follow_parameter_order(self):
-        _, model = _tiny_setup(seed=7)
-        params = model.parameters()
-        named = _moments(Adam(params))
-        assert list(named) == [f"optim.{k}.{i}" for i in range(len(params)) for k in "mv"]
-        for i, p in enumerate(params):
-            assert named[f"optim.m.{i}"].shape == named[f"optim.v.{i}"].shape == p.data.shape
-            assert named[f"optim.m.{i}"].dtype == p.data.dtype
-
     def test_mismatched_optimizer_state_rejected(self, tmp_path):
         _, model = _tiny_setup(seed=7)
         opt = Adam(model.parameters())
@@ -486,6 +476,20 @@ class TestCheckpointResume:
         save_checkpoint(path, state)
         with pytest.raises(FileFormatError, match="optimizer state"):
             load_training_state(path, model, Adam(model.parameters()))
+
+    @pytest.mark.parametrize("entry", ["meta.epochs_completed", "optim.t"])
+    @pytest.mark.parametrize("value", [np.nan, -3.0, 2.5, np.array([1.0, 2.0])],
+                             ids=["nan", "negative", "fraction", "two_values"])
+    def test_bad_progress_entry_rejected(self, tmp_path, entry, value):
+        _, model = _tiny_setup(seed=7)
+        path = tmp_path / "ckpt.tapg"
+        save_training_state(path, model, 1, Adam(model.parameters()))
+        state = load_checkpoint(path)
+        state[entry] = np.array(value)
+        save_checkpoint(path, state)
+        with pytest.raises(FileFormatError) as err:
+            load_training_state(path, model, Adam(model.parameters()))
+        assert str(path) in str(err.value) and entry in str(err.value)
 
     def test_resume_from_a_checkpoint_without_optimizer_state_rejected(self, tmp_path):
         _, model = _tiny_setup(seed=7)
