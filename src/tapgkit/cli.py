@@ -28,7 +28,6 @@ import json
 import logging
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -36,30 +35,29 @@ import numpy as np
 from tapgkit.autodiff.optim import Adam
 from tapgkit.config import (
     RunConfig,
+    build_model,
     describe,
     load_run_config,
     render,
     write_default_config,
 )
-from tapgkit.data.annotations import VideoAnnotation, check_time_axis, load_annotations
-from tapgkit.data.features import VideoFeatureSequence, load_features
-from tapgkit.data.synthetic import write_corpus
+from tapgkit.data.annotations import load_annotations
+from tapgkit.data.synthetic import load_corpus, write_corpus
 from tapgkit.errors import ConfigError, TapgkitError
 from tapgkit.evaluation import (
     average_recall,
     curve_area,
+    ground_truth,
     recall_at_budget,
     recall_curve,
 )
 from tapgkit.files import write_atomic
 from tapgkit.inference import (
-    decode_video,
+    decode_corpus,
     load_proposals,
     save_proposals,
     suppression_preset,
 )
-from tapgkit.model import ProposalModel
-from tapgkit.representation import RepresentationConfig
 from tapgkit.training import (
     load_training_state,
     save_training_state,
@@ -85,65 +83,6 @@ def _print_manifest(command: str, cfg: RunConfig, extra: dict | None = None) -> 
     print(json.dumps(payload, sort_keys=True))
 
 
-# ---------------------------------------------------------------------------
-# shared plumbing
-# ---------------------------------------------------------------------------
-
-def _load_corpus(data_root: Path) -> tuple[dict[str, VideoAnnotation],
-                                           dict[str, VideoFeatureSequence]]:
-    annotations = load_annotations(data_root / "annotations.json")
-    if not annotations:
-        raise ConfigError(f"{data_root}: annotation file lists no videos")
-    features: dict[str, VideoFeatureSequence] = {}
-    for vid in sorted(annotations):
-        path = data_root / "features" / f"{vid}.feat"
-        if not path.exists():
-            raise ConfigError(f"missing feature file for video {vid}: {path}")
-        features[vid] = load_features(path, vid)
-    first = features[min(features)]
-    for vid, seq in features.items():
-        seq.validate()
-        if seq.num_snippets != first.num_snippets or seq.dims() != first.dims():
-            raise ConfigError(f"{vid}: snippet count or stream widths differ "
-                              f"from the rest of the corpus")
-        if seq.snippet_stride != first.snippet_stride:
-            raise ConfigError(f"{vid}: snippet stride differs from the rest "
-                              f"of the corpus")
-        check_time_axis(annotations[vid], seq)
-    return annotations, features
-
-
-def _build_model(cfg: RunConfig, features: dict[str, VideoFeatureSequence],
-                 seed: int) -> ProposalModel:
-    first = features[min(features)]
-    d_e, d_a, d_o = first.dims()
-    rep_cfg = dataclasses.replace(cfg.representation, env_dim=d_e,
-                                  actor_dim=d_a, object_dim=d_o)
-    net_cfg = cfg.boundary.build(rep_cfg.feature_dim, first.num_snippets)
-    return ProposalModel(np.random.default_rng(seed), rep_cfg, net_cfg)
-
-
-def _decode_all(model: ProposalModel, features: dict[str, VideoFeatureSequence],
-                annotations: dict[str, VideoAnnotation], suppression):
-    """Proposals per video, and the decode record of the ``infer`` manifest:
-    candidates per video before and after suppression, and the seconds spent
-    pairing and suppressing (the forward passes are not counted)."""
-    proposals, candidates, seconds = {}, [], 0.0
-    for vid in sorted(features):
-        output = model(features[vid])
-        start = time.perf_counter()
-        count, proposals[vid] = decode_video(
-            output, features[vid].snippet_stride, annotations[vid].fps, suppression)
-        seconds += time.perf_counter() - start
-        candidates.append(count)
-    kept = [len(p) for p in proposals.values()]
-    return proposals, {
-        "candidates_per_video": {"mean": float(np.mean(candidates)), "max": max(candidates)},
-        "kept_per_video": {"mean": float(np.mean(kept)), "max": max(kept)},
-        "seconds": seconds,
-    }
-
-
 def _environment() -> dict:
     """What a seeded run's bits depend on besides the seed and the config:
     the numpy build, its BLAS library and the BLAS thread settings."""
@@ -160,14 +99,6 @@ def _environment() -> dict:
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         "cpu_affinity": affinity,
-    }
-
-
-def _gt_spans(annotations: dict[str, VideoAnnotation]) -> dict[str, np.ndarray]:
-    return {
-        vid: np.array([[a.start, a.end] for a in ann.annotations],
-                      dtype=np.float64).reshape(-1, 2)
-        for vid, ann in annotations.items()
     }
 
 
@@ -208,8 +139,8 @@ def _cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    annotations, features = _load_corpus(data_root)
-    model = _build_model(cfg, features, cfg.training.seed)
+    annotations, features = load_corpus(data_root)
+    model = build_model(cfg, features, cfg.training.seed)
     optimizer = Adam(model.parameters(), lr=cfg.training.learning_rate)
     start_epoch = 0
     if args.resume:
@@ -254,10 +185,10 @@ def _cmd_infer(args) -> int:
     if args.preset:
         cfg.suppression = suppression_preset(args.preset)
     data_root = Path(args.data) if args.data else cfg.data_root
-    annotations, features = _load_corpus(data_root)
-    model = _build_model(cfg, features, cfg.training.seed)
+    annotations, features = load_corpus(data_root)
+    model = build_model(cfg, features, cfg.training.seed)
     load_training_state(args.checkpoint, model)
-    proposals, decode = _decode_all(model, features, annotations, cfg.suppression)
+    proposals, decode = decode_corpus(model, features, annotations, cfg.suppression)
     save_proposals(args.out, proposals)
     _print_manifest("infer", cfg, {
         "checkpoint": str(args.checkpoint),
@@ -273,14 +204,14 @@ def _cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
     proposals = load_proposals(args.proposals)
     annotations = load_annotations(args.annotations)
-    gt = _gt_spans(annotations)
+    gt = ground_truth(annotations)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     curve = recall_curve(proposals, gt, cfg.evaluation)
     area = curve_area(curve)
     budget_recalls = {
-        str(b): float(recall_at_budget(proposals, gt, b, cfg.evaluation.tious).mean())
+        str(b): float(recall_at_budget(proposals, gt, b, cfg.evaluation.tious, warn=False).mean())
         for b in cfg.evaluation.report_budgets
     }
     report = {
@@ -312,15 +243,15 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("--values lists no weights")
     data_root = Path(args.data) if args.data else cfg.data_root
-    annotations, features = _load_corpus(data_root)
-    gt = _gt_spans(annotations)
+    annotations, features = load_corpus(data_root)
+    gt = ground_truth(annotations)
 
     results = []
     for weight in values:
         run_cfg = dataclasses.replace(cfg.training, mse_weight=weight)
-        model = _build_model(cfg, features, run_cfg.seed)
+        model = build_model(cfg, features, run_cfg.seed)
         reports = train(model, features, annotations, run_cfg)
-        proposals, _ = _decode_all(model, features, annotations, cfg.suppression)
+        proposals, _ = decode_corpus(model, features, annotations, cfg.suppression)
         ar10 = average_recall(proposals, gt, 10, cfg.evaluation.tious)
         results.append({
             "mse_weight": weight,

@@ -3,7 +3,7 @@
 One file drives a whole run (generation, training, decoding, evaluation).
 Sections and keys are strict: anything unrecognized is an error, so typos
 fail loudly instead of silently using a default. Model input widths are not
-configured here; they are read from the data at train time.
+configured here; ``build_model`` reads them from the data.
 
 Threshold lists accept either an inclusive ``start:step:stop`` range
 (``0.5:0.05:0.95``) or an explicit comma list (``0.5, 0.75``).
@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from tapgkit.boundary_net import BoundaryNetConfig
+from tapgkit.data.features import VideoFeatureSequence
 from tapgkit.data.synthetic import SyntheticConfig
 from tapgkit.errors import ConfigError
 from tapgkit.evaluation import EvalConfig
@@ -32,6 +33,7 @@ from tapgkit.inference import (
     SoftSuppressionConfig,
     suppression_preset,
 )
+from tapgkit.model import ProposalModel
 from tapgkit.representation import RepresentationConfig
 from tapgkit.training import TrainConfig
 
@@ -153,6 +155,18 @@ _SECTIONS = {
     "inference": ("suppression", ()),
     "evaluation": ("evaluation", ()),
 }
+
+
+def build_model(cfg: RunConfig, features: dict[str, VideoFeatureSequence],
+                seed: int) -> ProposalModel:
+    """A model initialised from ``seed`` for this corpus: the stream widths and
+    the snippet count are the first video's (by id), the rest is ``cfg``."""
+    first = features[min(features)]
+    d_e, d_a, d_o = first.dims()
+    rep_cfg = dataclasses.replace(cfg.representation, env_dim=d_e,
+                                  actor_dim=d_a, object_dim=d_o)
+    net_cfg = cfg.boundary.build(rep_cfg.feature_dim, first.num_snippets)
+    return ProposalModel(np.random.default_rng(seed), rep_cfg, net_cfg)
 
 
 def _read_suppression(sec: _Section, default):

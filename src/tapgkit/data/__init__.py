@@ -3,6 +3,7 @@
 from tapgkit.data.annotations import (
     ActionInstance,
     VideoAnnotation,
+    check_corpus,
     check_time_axis,
     load_annotations,
     rescale_action,
@@ -19,12 +20,13 @@ from tapgkit.data.synthetic import (
     SyntheticConfig,
     SyntheticCorpus,
     generate_corpus,
+    load_corpus,
     write_corpus,
 )
 
 __all__ = [
     "ActionInstance", "SnippetBundle", "SyntheticConfig", "SyntheticCorpus",
-    "VideoAnnotation", "VideoFeatureSequence", "check_time_axis", "feature_path",
-    "generate_corpus", "load_annotations", "load_features",
+    "VideoAnnotation", "VideoFeatureSequence", "check_corpus", "check_time_axis",
+    "feature_path", "generate_corpus", "load_annotations", "load_corpus", "load_features",
     "rescale_action", "save_annotations", "save_features", "write_corpus",
 ]

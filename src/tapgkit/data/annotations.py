@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from tapgkit.data.features import VideoFeatureSequence
-from tapgkit.errors import AnnotationError, ConfigError
+from tapgkit.errors import AnnotationError, ConfigError, EmptyInputError
 from tapgkit.files import count, number, pair, write_atomic
 
 
@@ -136,3 +136,29 @@ def check_time_axis(annotation: VideoAnnotation, seq: VideoFeatureSequence) -> N
     if annotation.frame_count != seq.num_snippets * seq.snippet_stride:
         raise ConfigError(f"{annotation.video_id}: frame_count {annotation.frame_count} != "
                           f"{seq.num_snippets} snippets x stride {seq.snippet_stride}")
+
+
+def check_corpus(annotations: dict[str, VideoAnnotation],
+                 features: dict[str, VideoFeatureSequence]) -> None:
+    """Require a corpus that one model reads: every video annotated and valid,
+    with the snippet count, stream widths and stride of the first video (by
+    id), on its annotation's time axis (``check_time_axis``). The first video
+    that breaks a rule is named in the error.
+    """
+    ids = sorted(features)
+    if not ids:
+        raise EmptyInputError("corpus holds no videos")
+    missing = [v for v in ids if v not in annotations]
+    if missing:
+        raise ConfigError(f"videos without annotations: {missing}")
+    first = features[ids[0]]
+    for vid in ids:
+        seq = features[vid]
+        seq.validate()
+        if seq.num_snippets != first.num_snippets or seq.dims() != first.dims():
+            raise ConfigError(f"{vid}: snippet count or stream widths differ "
+                              f"from the rest of the corpus")
+        if seq.snippet_stride != first.snippet_stride:
+            raise ConfigError(f"{vid}: snippet stride differs from the rest "
+                              f"of the corpus")
+        check_time_axis(annotations[vid], seq)

@@ -28,12 +28,15 @@ import numpy as np
 from tapgkit.data.annotations import (
     ActionInstance,
     VideoAnnotation,
+    check_corpus,
+    load_annotations,
     save_annotations,
 )
 from tapgkit.data.features import (
     SnippetBundle,
     VideoFeatureSequence,
     feature_path,
+    load_features,
     save_features,
 )
 from tapgkit.errors import ConfigError
@@ -205,6 +208,11 @@ def generate_corpus(cfg: SyntheticConfig) -> SyntheticCorpus:
     return SyntheticCorpus(annotations, features, vocab, class_names)
 
 
+def _layout(root) -> tuple[Path, Path]:
+    """A corpus directory's annotation file and feature directory."""
+    return Path(root) / "annotations.json", Path(root) / "features"
+
+
 def write_corpus(cfg: SyntheticConfig, out_dir) -> SyntheticCorpus:
     """Generate and lay the corpus out on disk.
 
@@ -212,11 +220,27 @@ def write_corpus(cfg: SyntheticConfig, out_dir) -> SyntheticCorpus:
     per video under ``features/``.
     """
     corpus = generate_corpus(cfg)
-    out_dir = Path(out_dir)
-    feat_dir = out_dir / "features"
+    annotation_file, feat_dir = _layout(out_dir)
     feat_dir.mkdir(parents=True, exist_ok=True)
-    save_annotations(out_dir / "annotations.json", corpus.annotations)
-    save_vocabulary(out_dir / "vocabulary.json", corpus.vocabulary)
+    save_annotations(annotation_file, corpus.annotations)
+    save_vocabulary(Path(out_dir) / "vocabulary.json", corpus.vocabulary)
     for video_id, seq in corpus.features.items():
         save_features(feature_path(feat_dir, video_id), seq)
     return corpus
+
+
+def load_corpus(root) -> tuple[dict[str, VideoAnnotation], dict[str, VideoFeatureSequence]]:
+    """Read a corpus laid out as ``write_corpus`` writes it: the annotated
+    videos and their feature sequences, which must pass ``check_corpus``."""
+    annotation_file, feat_dir = _layout(root)
+    annotations = load_annotations(annotation_file)
+    if not annotations:
+        raise ConfigError(f"{root}: annotation file lists no videos")
+    features = {}
+    for vid in sorted(annotations):
+        path = feature_path(feat_dir, vid)
+        if not path.exists():
+            raise ConfigError(f"missing feature file for video {vid}: {path}")
+        features[vid] = load_features(path, vid)
+    check_corpus(annotations, features)
+    return annotations, features

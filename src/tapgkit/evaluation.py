@@ -2,8 +2,9 @@
 
 Recall is pooled over the corpus: at a given proposal budget and overlap
 threshold, it is (matched ground-truth actions) / (all ground-truth actions).
-Matching is one-to-one and greedy by descending overlap. Videos without any
-ground truth cannot contribute and are skipped with a warning.
+Matching is one-to-one and greedy by descending overlap, and an overlap equal
+to the threshold is a match. Videos without any ground truth cannot
+contribute and are skipped with a warning, once per curve.
 
 The recall-vs-budget curve runs over budgets 1..max_budget; its area is
 normalized to a 0..100 scale. Detection quality uses the usual per-class
@@ -65,8 +66,8 @@ class EvalConfig:
     def validate(self) -> None:
         if not self.tious or any(not (0.0 < t <= 1.0) for t in self.tious):
             raise ShapeError("overlap thresholds must lie in (0, 1]")
-        if self.max_budget < 1:
-            raise ShapeError("max_budget must be at least 1")
+        if self.max_budget < 2:
+            raise ShapeError("max_budget must be at least 2: a curve area needs two budgets")
         if any(b < 1 for b in self.report_budgets):
             raise ShapeError("report_budgets must each be at least 1")
 
@@ -80,16 +81,27 @@ def _sorted_proposals(proposals: list) -> np.ndarray:
     return arr[order]
 
 
+def ground_truth(annotations: dict) -> dict[str, np.ndarray]:
+    """Each annotated video's (n, 2) action spans [start, end] in seconds."""
+    return {
+        vid: np.array([[a.start, a.end] for a in ann.annotations],
+                      dtype=np.float64).reshape(-1, 2)
+        for vid, ann in annotations.items()
+    }
+
+
 def recall_at_budget(proposals_by_video: dict[str, list], gt_by_video: dict[str, np.ndarray],
-                     budget: int, tious) -> np.ndarray:
-    """Pooled recall per overlap threshold with top-``budget`` proposals per video."""
+                     budget: int, tious, warn: bool = True) -> np.ndarray:
+    """Pooled recall per overlap threshold with top-``budget`` proposals per
+    video; ``warn=False`` skips videos without ground truth silently."""
     tious = np.asarray(tious, dtype=np.float64)
     matched = np.zeros(len(tious))
     total = 0
     for video_id, gt in gt_by_video.items():
         gt = np.asarray(gt, dtype=np.float64).reshape(-1, 2)
         if gt.shape[0] == 0:
-            log.warning("video %s has no ground truth, excluded from recall", video_id)
+            if warn:
+                log.warning("video %s has no ground truth, excluded from recall", video_id)
             continue
         total += gt.shape[0]
         props = _sorted_proposals(proposals_by_video.get(video_id, []))[:budget]
@@ -111,10 +123,10 @@ def average_recall(proposals_by_video: dict[str, list], gt_by_video: dict[str, n
 
 def recall_curve(proposals_by_video: dict[str, list], gt_by_video: dict[str, np.ndarray],
                  cfg: EvalConfig) -> np.ndarray:
-    """Average recall at every budget 1..max_budget."""
+    """Average recall at every budget 1..max_budget; only budget 1 warns."""
     cfg.validate()
     return np.array([
-        recall_at_budget(proposals_by_video, gt_by_video, b, cfg.tious).mean()
+        recall_at_budget(proposals_by_video, gt_by_video, b, cfg.tious, warn=b == 1).mean()
         for b in range(1, cfg.max_budget + 1)
     ])
 

@@ -27,12 +27,15 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from tapgkit.boundary_net import BoundaryNetOutput
+from tapgkit.data.annotations import VideoAnnotation, check_corpus
+from tapgkit.data.features import VideoFeatureSequence
 from tapgkit.errors import (
     ConfigError,
     DegenerateInputError,
@@ -41,6 +44,7 @@ from tapgkit.errors import (
 )
 from tapgkit.evaluation import Detection
 from tapgkit.files import number, pair, write_atomic
+from tapgkit.model import ProposalModel
 
 SCORE_FLOOR = 1e-4
 
@@ -250,7 +254,7 @@ def generate_proposals(output: BoundaryNetOutput, snippet_stride: int, fps: floa
     """Candidate pairing plus suppression, with intervals mapped to seconds.
 
     No annotation reaches this function, so the caller checks the time axis
-    (``data.check_time_axis``); the command line does when it loads a corpus.
+    (``data.check_time_axis``); ``decode_corpus`` checks every video's.
     """
     return decode_video(output, snippet_stride, fps, suppression)[1]
 
@@ -262,6 +266,30 @@ def decode_video(output: BoundaryNetOutput, snippet_stride: int, fps: float,
     seconds_per_snippet = snippet_stride / fps
     rows = pair_candidates(output) * [seconds_per_snippet, seconds_per_snippet, 1.0]
     return len(rows), _proposals(suppress(rows, suppression))
+
+
+def decode_corpus(model: ProposalModel, features: dict[str, VideoFeatureSequence],
+                  annotations: dict[str, VideoAnnotation],
+                  suppression: SoftSuppressionConfig | HardSuppressionConfig):
+    """Proposals per video of a corpus that passes ``check_corpus``, and the
+    decode record of the ``infer`` manifest: candidates per video before and
+    after suppression, and the seconds spent pairing and suppressing (the
+    forward passes are not counted)."""
+    check_corpus(annotations, features)
+    proposals, candidates, seconds = {}, [], 0.0
+    for vid in sorted(features):
+        output = model(features[vid])
+        start = time.perf_counter()
+        count, proposals[vid] = decode_video(
+            output, features[vid].snippet_stride, annotations[vid].fps, suppression)
+        seconds += time.perf_counter() - start
+        candidates.append(count)
+    kept = [len(p) for p in proposals.values()]
+    return proposals, {
+        "candidates_per_video": {"mean": float(np.mean(candidates)), "max": max(candidates)},
+        "kept_per_video": {"mean": float(np.mean(kept)), "max": max(kept)},
+        "seconds": seconds,
+    }
 
 
 def merge_class_scores(proposals: list[Proposal], class_scores: dict[str, float],

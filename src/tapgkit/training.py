@@ -25,7 +25,7 @@ from tapgkit.autodiff.checkpoint import load_checkpoint, save_checkpoint
 from tapgkit.autodiff.optim import Adam
 from tapgkit.autodiff.tensor import Tape, Tensor
 from tapgkit.boundary_net import valid_cells
-from tapgkit.data.annotations import VideoAnnotation, check_time_axis, rescale_action
+from tapgkit.data.annotations import VideoAnnotation, check_corpus, rescale_action
 from tapgkit.data.features import VideoFeatureSequence
 from tapgkit.errors import (
     ConfigError,
@@ -233,19 +233,13 @@ def train(model: ProposalModel, features: dict[str, VideoFeatureSequence],
     """Run the epoch loop; one optimizer step per video.
 
     Video order is reshuffled every epoch from (seed, epoch), so a resumed
-    run revisits the same order it would have seen uninterrupted. Every video
-    must lie on its annotation's time axis (``check_time_axis``). Aborts on
-    a non-finite loss. ``on_epoch(model, report)`` fires after every epoch.
+    run revisits the same order it would have seen uninterrupted. The corpus
+    must pass ``check_corpus`` before the first step. Aborts on a non-finite
+    loss. ``on_epoch(model, report)`` fires after every epoch.
     """
     cfg.validate()
+    check_corpus(annotations, features)
     ids = sorted(features)
-    if not ids:
-        raise EmptyInputError("no videos to train on")
-    missing = [v for v in ids if v not in annotations]
-    if missing:
-        raise ConfigError(f"videos without annotations: {missing}")
-    for vid in ids:
-        check_time_axis(annotations[vid], features[vid])
 
     net_cfg = model.boundary_net.cfg
     labels = {

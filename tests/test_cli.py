@@ -1,6 +1,7 @@
 """Command-line entry points, exercised end to end in a temp directory."""
 
 import json
+import logging
 import os
 import shutil
 
@@ -220,6 +221,20 @@ class TestEvalCommand:
         assert lines[0] == "budget,average_recall"
         assert len(lines) == 101
 
+    def test_one_warning_per_video_without_ground_truth(self, corpus_dir, tmp_path, caplog):
+        annotations = json.loads((corpus_dir / "annotations.json").read_text())
+        bare = sorted(annotations)[1]
+        annotations[bare]["annotations"] = []
+        (tmp_path / "annotations.json").write_text(json.dumps(annotations))
+        (tmp_path / "proposals.json").write_text("{}")
+        with caplog.at_level(logging.WARNING, logger="tapgkit.evaluation"):
+            code = main(["eval", "--proposals", str(tmp_path / "proposals.json"),
+                         "--annotations", str(tmp_path / "annotations.json"),
+                         "--out", str(tmp_path / "report")])
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"video {bare} has no ground truth, excluded from recall"]
+
 
 class TestSweepCommand:
     def test_sweep_results(self, small_ini, corpus_dir, tmp_path, capsys):
@@ -319,7 +334,8 @@ def _config_error(capsys) -> str:
 
 
 class TestCorpusRejections:
-    """Every corpus ``_load_corpus`` refuses stops ``train`` with a ConfigError."""
+    """Every corpus ``load_corpus`` refuses, through its own file checks or
+    ``check_corpus``, stops ``train`` with a ConfigError."""
 
     def _train(self, small_ini, data, tmp_path):
         return main(["train", "--config", str(small_ini), "--data", str(data),

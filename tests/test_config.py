@@ -262,6 +262,20 @@ learning_rate = 0.01
         with pytest.raises(ShapeError, match="report_budgets"):
             load_run_config(path)
 
+    def test_curve_needs_two_budgets(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[evaluation]\nmax_budget = 1\n")
+        with pytest.raises(ShapeError, match="max_budget"):
+            load_run_config(path)
+        path.write_text("[evaluation]\nmax_budget = 2\n")
+        assert load_run_config(path).evaluation.max_budget == 2
+
+    def test_zero_tiou_rejected(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[evaluation]\ntious = 0, 0.5\n")
+        with pytest.raises(ShapeError, match="overlap thresholds"):
+            load_run_config(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_rejected(self, tmp_path, value):
         keys = list(_float_keys())

@@ -14,11 +14,13 @@ from tapgkit.evaluation import (
     average_recall,
     curve_area,
     detection_map,
+    ground_truth,
     interval_iou,
     iou_matrix,
     recall_at_budget,
     recall_curve,
 )
+from tapgkit.data.annotations import ActionInstance, VideoAnnotation
 from tapgkit.inference import Proposal
 
 
@@ -158,6 +160,14 @@ class TestRecall:
         np.testing.assert_allclose(got, [1.0])
         assert any("no ground truth" in r.message for r in caplog.records)
 
+    def test_overlap_equal_to_the_threshold_is_a_match(self):
+        # [0, 2] against [0, 1]: IoU 1/2, exactly 0.5 in binary
+        proposals = {"a": _proposals([(0.0, 2.0, 0.9)])}
+        gt = {"a": np.array([[0.0, 1.0]])}
+        np.testing.assert_array_equal(
+            recall_at_budget(proposals, gt, budget=1, tious=[0.5, np.nextafter(0.5, 1.0)]),
+            [1.0, 0.0])
+
     def test_no_ground_truth_anywhere(self):
         with pytest.raises(EmptyInputError):
             recall_at_budget({"a": []}, {"a": np.zeros((0, 2))}, 5, [0.5])
@@ -221,13 +231,28 @@ class TestRecallCurve:
                 curve[b - 1],
                 recall_at_budget(proposals, gt, b, cfg.tious).mean())
 
+    def test_one_warning_per_video_without_ground_truth(self, caplog):
+        proposals, gt = self._fixture()
+        gt = {**gt, "bare": np.zeros((0, 2)), "empty": np.zeros((0, 2))}
+        with caplog.at_level(logging.WARNING, logger="tapgkit.evaluation"):
+            recall_curve(proposals, gt, EvalConfig(max_budget=12))
+        assert sorted(r.getMessage() for r in caplog.records) == [
+            f"video {vid} has no ground truth, excluded from recall"
+            for vid in ("bare", "empty")]
+
     def test_config_validation(self):
         with pytest.raises(ShapeError):
             EvalConfig(tious=()).validate()
         with pytest.raises(ShapeError):
             EvalConfig(tious=(0.5, 1.5)).validate()
         with pytest.raises(ShapeError):
+            EvalConfig(tious=(0.0, 0.5)).validate()
+        with pytest.raises(ShapeError):
             EvalConfig(max_budget=0).validate()
+        # the curve's area needs two budgets
+        with pytest.raises(ShapeError, match="max_budget"):
+            EvalConfig(max_budget=1).validate()
+        EvalConfig(max_budget=2).validate()
         for budgets in ((0,), (-1, 5)):
             with pytest.raises(ShapeError):
                 EvalConfig(report_budgets=budgets).validate()
@@ -329,6 +354,13 @@ class TestDetectionMap:
         gt = {"a": [(0.0, 4.0, "swing"), (10.0, 14.0, "lift")]}
         np.testing.assert_allclose(detection_map(dets, gt, 0.5), 0.5)
 
+    def test_overlap_equal_to_the_threshold_is_a_match(self):
+        # [0, 2] against [0, 1]: IoU 1/2, exactly 0.5 in binary
+        dets = {"a": [Detection(0.0, 2.0, 0.9, "x")]}
+        gt = {"a": [(0.0, 1.0, "x")]}
+        assert detection_map(dets, gt, 0.5) == 1.0
+        assert detection_map(dets, gt, np.nextafter(0.5, 1.0)) == 0.0
+
     def test_empty_ground_truth_rejected(self):
         with pytest.raises(EmptyInputError):
             detection_map({"a": []}, {"a": []}, 0.5)
@@ -357,3 +389,15 @@ class TestDetectionMap:
         got = detection_map(dets_by_video, gt_by_video, tiou)
         want = _map_oracle(dets_by_video, gt_by_video, tiou)
         np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+class TestGroundTruth:
+    def test_spans_per_video_in_seconds(self):
+        annotations = {
+            "a": VideoAnnotation("a", 10.0, 1.0, 10, [ActionInstance(1.0, 2.5, "x"),
+                                                      ActionInstance(4.0, 9.0, "y")]),
+            "b": VideoAnnotation("b", 10.0, 1.0, 10),
+        }
+        gt = ground_truth(annotations)
+        np.testing.assert_array_equal(gt["a"], [[1.0, 2.5], [4.0, 9.0]])
+        assert gt["b"].shape == (0, 2) and gt["a"].dtype == np.float64

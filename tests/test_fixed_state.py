@@ -9,10 +9,9 @@ import pytest
 from tapgkit.attention import MODES, AdaptiveAttention
 from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.tensor import Tape
-from tapgkit.config import RunConfig
+from tapgkit.config import RunConfig, build_model
 from tapgkit.data.features import VideoFeatureSequence
 from tapgkit.data.synthetic import generate_corpus
-from tapgkit.model import ProposalModel
 from tapgkit.training import TrainConfig, total_loss, train, video_labels
 
 _ENCODER = ["query.weight", "key.weight", "value.weight", "ffn_in.weight", "ffn_in.bias",
@@ -46,13 +45,9 @@ STREAMS = [s for s in itertools.product((True, False), repeat=3) if any(s)]
 
 def _default_model(num_videos=1, **representation):
     run = RunConfig()
-    syn = dataclasses.replace(run.synthetic, num_videos=num_videos)
-    corpus = generate_corpus(syn)
-    rep = dataclasses.replace(run.representation, env_dim=syn.env_dim,
-                              actor_dim=syn.actor_dim, object_dim=syn.object_dim,
-                              **representation)
-    net = run.boundary.build(rep.feature_dim, syn.num_snippets)
-    return corpus, ProposalModel(np.random.default_rng(0), rep, net)
+    run.representation = dataclasses.replace(run.representation, **representation)
+    corpus = generate_corpus(dataclasses.replace(run.synthetic, num_videos=num_videos))
+    return corpus, build_model(run, corpus.features, 0)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -9,7 +9,7 @@ import pytest
 
 from tapgkit.autodiff import tensor as T
 from tapgkit.boundary_net import BoundaryNetOutput, valid_cells
-from tapgkit.config import RunConfig
+from tapgkit.config import RunConfig, build_model
 from tapgkit.data.synthetic import generate_corpus
 from tapgkit.errors import (
     ConfigError,
@@ -22,6 +22,7 @@ from tapgkit.inference import (
     Proposal,
     SoftSuppressionConfig,
     boundary_candidates,
+    decode_corpus,
     generate_proposals,
     load_proposals,
     local_maxima,
@@ -34,7 +35,6 @@ from tapgkit.inference import (
     suppression_preset,
 )
 from tapgkit.evaluation import interval_iou
-from tapgkit.model import ProposalModel
 
 
 def _iou(a, b):
@@ -120,6 +120,11 @@ class TestBoundaryCandidates:
         # 0.3 is below half the maximum and is not a local max
         np.testing.assert_array_equal(boundary_candidates(np.array([0.3, 1.0, 0.05])),
                                       [1])
+
+    def test_exactly_half_the_maximum_is_a_candidate(self):
+        # 0.5 is not a local max; 0.25 is below half
+        np.testing.assert_array_equal(boundary_candidates(np.array([1.0, 0.5, 0.25])),
+                                      [0, 1])
 
 
 def _toy_output(seed=0, num_snippets=8, max_duration=8):
@@ -405,10 +410,7 @@ def _decode_flat_rows():
     syn = dataclasses.replace(run.synthetic, num_videos=3, min_action_len=2,
                               max_action_len=8)
     corpus = generate_corpus(syn)
-    rep = dataclasses.replace(run.representation, env_dim=syn.env_dim,
-                              actor_dim=syn.actor_dim, object_dim=syn.object_dim)
-    model = ProposalModel(np.random.default_rng(0), rep,
-                          run.boundary.build(rep.feature_dim, syn.num_snippets))
+    model = build_model(run, corpus.features, 0)
     seconds = syn.snippet_stride / syn.fps
     return [pair_candidates(model(seq)) * [seconds, seconds, 1.0]
             for seq in corpus.features.values()]
@@ -508,6 +510,37 @@ class TestGenerateProposals:
         loose = generate_proposals(out, 16, 8.0,
                                    HardSuppressionConfig(threshold=0.99))
         assert len(tight) <= len(loose)
+
+
+class TestDecodeCorpus:
+    def _corpus(self):
+        run = RunConfig()
+        corpus = generate_corpus(dataclasses.replace(run.synthetic, num_videos=3))
+        return corpus, build_model(run, corpus.features, 0), run.suppression
+
+    def test_decodes_every_video_as_generate_proposals_does(self):
+        corpus, model, cfg = self._corpus()
+        proposals, record = decode_corpus(model, corpus.features, corpus.annotations, cfg)
+        counts = []
+        for vid, seq in sorted(corpus.features.items()):
+            output = model(seq)
+            want = generate_proposals(output, seq.snippet_stride,
+                                      corpus.annotations[vid].fps, cfg)
+            assert _triples(proposals[vid]) == _triples(want)
+            counts.append(len(pair_candidates(output)))
+        assert list(proposals) == sorted(corpus.features)
+        assert record["candidates_per_video"] == {"mean": float(np.mean(counts)),
+                                                  "max": max(counts)}
+        assert record["kept_per_video"]["max"] == max(len(p) for p in proposals.values())
+        assert record["seconds"] >= 0.0
+
+    def test_video_off_its_time_axis_rejected(self):
+        corpus, model, cfg = self._corpus()
+        vid = sorted(corpus.annotations)[2]
+        annotations = {**corpus.annotations,
+                       vid: dataclasses.replace(corpus.annotations[vid], frame_count=640)}
+        with pytest.raises(ConfigError, match=vid):
+            decode_corpus(model, corpus.features, annotations, cfg)
 
 
 class TestClassScoreMerge:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tapgkit.config import RunConfig
+from tapgkit.config import RunConfig, build_model
 from tapgkit.data.synthetic import generate_corpus
 from tapgkit.errors import ConfigError, ShapeError
 from tapgkit.model import ProposalModel
@@ -15,9 +15,8 @@ def _configs(num_snippets=8):
     run = RunConfig()
     syn = dataclasses.replace(run.synthetic, num_videos=1, num_snippets=num_snippets,
                               max_action_len=4)
-    rep = dataclasses.replace(run.representation, env_dim=syn.env_dim,
-                              actor_dim=syn.actor_dim, object_dim=syn.object_dim)
-    return syn, rep, run.boundary.build(rep.feature_dim, num_snippets)
+    model = build_model(run, generate_corpus(syn).features, 0)
+    return syn, model.representation.cfg, model.boundary_net.cfg
 
 
 def test_width_mismatch_rejected():

@@ -14,7 +14,7 @@ from tapgkit.autodiff.checkpoint import load_checkpoint, save_checkpoint
 from tapgkit.autodiff.optim import Adam
 from tapgkit.autodiff.tensor import Tape
 from tapgkit.boundary_net import BoundaryNetOutput, valid_cells
-from tapgkit.config import RunConfig
+from tapgkit.config import RunConfig, build_model
 from tapgkit.data.annotations import ActionInstance, VideoAnnotation
 from tapgkit.data.synthetic import SyntheticConfig, generate_corpus
 from tapgkit.errors import (
@@ -24,9 +24,9 @@ from tapgkit.errors import (
     FileFormatError,
     ShapeError,
 )
-from tapgkit.model import ProposalModel
 from tapgkit.representation import RepresentationConfig
 from tapgkit.training import (
+    PROBABILITY_FLOOR,
     TrainConfig,
     boundary_labels,
     grid_labels,
@@ -218,6 +218,17 @@ class TestGridLoss:
         with pytest.raises(ShapeError):   # a whole-grid prediction is not the valid cells
             proposal_grid_loss(T.constant(np.full((2, 2), 0.5)), labels_a, valid, 10.0)
 
+    def test_mse_passes_no_gradient_above_the_upper_clip(self):
+        # the first cell sits between 1 - floor and 1: its MSE reads the
+        # clipped value and hands nothing back
+        with T.default_dtype(np.float64), Tape() as tape:
+            pred = T.parameter(np.array([1.0 - PROBABILITY_FLOOR / 2, 0.5]))
+            mse = proposal_grid_loss(pred, np.array([[0.0, 1.0]]),
+                                     np.ones((1, 2), dtype=bool), 10.0)[2]
+            tape.backward(mse)
+        assert mse.item() == ((1.0 - PROBABILITY_FLOOR) ** 2 + 0.25) / 2
+        assert pred.grad[0] == 0.0 and pred.grad[1] == -0.5
+
     def test_no_valid_cells_rejected(self):
         with pytest.raises(EmptyInputError):
             proposal_grid_loss(T.constant(np.zeros((2, 2))), np.zeros((2, 2)),
@@ -260,12 +271,8 @@ def _tiny_setup(num_videos=3, seed=0):
                           env_dim=8, actor_dim=8, object_dim=8,
                           max_action_len=6, seed=seed)
     corpus = generate_corpus(syn)
-    run = RunConfig()
-    rep = RepresentationConfig(env_dim=8, actor_dim=8, object_dim=8,
-                               feature_dim=12, attention_hidden=16)
-    net = run.boundary.build(12, 16)
-    model = ProposalModel(np.random.default_rng(seed), rep, net)
-    return corpus, model
+    run = RunConfig(representation=RepresentationConfig(feature_dim=12, attention_hidden=16))
+    return corpus, build_model(run, corpus.features, seed)
 
 
 class TestEpochLoop:
@@ -319,11 +326,24 @@ class TestEpochLoop:
         assert annotation.frame_count == 512
         annotations = {**corpus.annotations,
                        vid: dataclasses.replace(annotation, frame_count=640)}
-        run = RunConfig()
-        rep = dataclasses.replace(run.representation, env_dim=16, actor_dim=16, object_dim=16)
-        model = ProposalModel(np.random.default_rng(0), rep, run.boundary.build(32, 32))
+        model = build_model(RunConfig(), corpus.features, 0)
         with pytest.raises(ConfigError, match=vid):
             train(model, corpus.features, annotations, TrainConfig(epochs=1))
+
+    def test_video_with_narrower_actors_rejected_before_any_step(self):
+        corpus, model = _tiny_setup(seed=7)
+        vid = sorted(corpus.features)[1]
+        seq = corpus.features[vid]
+        narrow = [dataclasses.replace(s, actors=s.actors[:, :-1]) for s in seq.snippets]
+        features = {**corpus.features, vid: dataclasses.replace(seq, snippets=narrow)}
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        optimizer = Adam(model.parameters())
+        with pytest.raises(ConfigError, match=f"{vid}: snippet count or stream widths"):
+            train(model, features, corpus.annotations, TrainConfig(epochs=1),
+                  optimizer=optimizer)
+        assert optimizer.t == 0
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
 
     def test_on_epoch_callback_fires(self):
         corpus, model = _tiny_setup(seed=6)
@@ -342,10 +362,8 @@ def _desk_step():
     corpus = generate_corpus(syn)
     seq = next(iter(corpus.features.values()))
     annotation = corpus.annotations[seq.video_id]
-    rep = dataclasses.replace(run.representation, env_dim=syn.env_dim,
-                              actor_dim=syn.actor_dim, object_dim=syn.object_dim)
-    net = run.boundary.build(rep.feature_dim, seq.num_snippets)
-    model = ProposalModel(np.random.default_rng(0), rep, net)
+    model = build_model(run, corpus.features, 0)
+    net = model.boundary_net.cfg
     labels = video_labels(annotation, net.num_snippets, net.resolved_max_duration())
     assert seq.num_snippets == 32
     return model, lambda: total_loss(model(seq), labels, run.training.mse_weight)[0]
@@ -465,6 +483,12 @@ class TestCheckpointResume:
         reports = train(model, corpus.features, corpus.annotations,
                         TrainConfig(epochs=4, seed=9), start_epoch=start)
         assert [r.epoch for r in reports] == [2, 3]
+
+    def test_checkpoint_without_progress_resumes_at_epoch_zero(self, tmp_path):
+        _, model = _tiny_setup(seed=7)
+        path = tmp_path / "bare.tapg"
+        save_checkpoint(path, model.state_dict())
+        assert load_training_state(path, model) == 0
 
     def test_mismatched_optimizer_state_rejected(self, tmp_path):
         _, model = _tiny_setup(seed=7)
