@@ -48,7 +48,6 @@ from tapgkit.evaluation import (
     average_recall,
     curve_area,
     ground_truth,
-    recall_at_budget,
     recall_curve,
 )
 from tapgkit.files import write_atomic
@@ -183,7 +182,8 @@ def _cmd_train(args) -> int:
 def _cmd_infer(args) -> int:
     cfg = load_run_config(args.config)
     if args.preset:
-        cfg.suppression = suppression_preset(args.preset)
+        cfg.suppression = dataclasses.replace(suppression_preset(args.preset),
+                                              max_keep=cfg.suppression.max_keep)
     data_root = Path(args.data) if args.data else cfg.data_root
     annotations, features = load_corpus(data_root)
     model = build_model(cfg, features, cfg.training.seed)
@@ -203,22 +203,17 @@ def _cmd_infer(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
     proposals = load_proposals(args.proposals)
-    annotations = load_annotations(args.annotations)
-    gt = ground_truth(annotations)
+    gt = ground_truth(load_annotations(args.annotations))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     curve = recall_curve(proposals, gt, cfg.evaluation)
-    area = curve_area(curve)
-    budget_recalls = {
-        str(b): float(recall_at_budget(proposals, gt, b, cfg.evaluation.tious, warn=False).mean())
-        for b in cfg.evaluation.report_budgets
-    }
     report = {
         "num_videos": len(gt),
         "tious": list(cfg.evaluation.tious),
-        "area_under_recall_curve": area,
-        "average_recall_at_budget": budget_recalls,
+        "area_under_recall_curve": curve_area(curve),
+        "average_recall_at_budget": {str(b): float(curve[b - 1])
+                                     for b in cfg.evaluation.report_budgets},
     }
     write_atomic(out_dir / "report.json", json.dumps(report, indent=2))
     table = io.StringIO()

@@ -6,15 +6,17 @@ Matching is one-to-one and greedy by descending overlap, and an overlap equal
 to the threshold is a match. Videos without any ground truth cannot
 contribute and are skipped with a warning, once per curve.
 
-The recall-vs-budget curve runs over budgets 1..max_budget; its area is
-normalized to a 0..100 scale. Detection quality uses the usual per-class
-average precision with the interpolated (monotone envelope) precision curve.
+The recall-vs-budget curve runs over budgets 1..max_budget, one recall pass
+per budget; its area is normalized to a 0..100 scale, and the average recall
+at a report budget b is read off it as point b. Detection quality uses the
+usual per-class average precision with the interpolated (monotone envelope)
+precision curve; a class without detections scores 0.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +65,16 @@ class EvalConfig:
     max_budget: int = 100
     report_budgets: tuple[int, ...] = (1, 5, 10, 100)
 
-    def validate(self) -> None:
+    def validate_curve(self) -> None:
         if not self.tious or any(not (0.0 < t <= 1.0) for t in self.tious):
             raise ShapeError("overlap thresholds must lie in (0, 1]")
         if self.max_budget < 2:
             raise ShapeError("max_budget must be at least 2: a curve area needs two budgets")
-        if any(b < 1 for b in self.report_budgets):
-            raise ShapeError("report_budgets must each be at least 1")
+
+    def validate(self) -> None:
+        self.validate_curve()
+        if any(not (1 <= b <= self.max_budget) for b in self.report_budgets):
+            raise ShapeError(f"report_budgets must each lie in 1..max_budget = {self.max_budget}")
 
 
 def _sorted_proposals(proposals: list) -> np.ndarray:
@@ -90,19 +95,24 @@ def ground_truth(annotations: dict) -> dict[str, np.ndarray]:
     }
 
 
+def _annotated(gt_by_video: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The (n, 2) spans of the videos with ground truth; the others are warned about."""
+    spans = {vid: np.asarray(gt, dtype=np.float64).reshape(-1, 2)
+             for vid, gt in gt_by_video.items()}
+    for video_id in [vid for vid, gt in spans.items() if gt.shape[0] == 0]:
+        log.warning("video %s has no ground truth, excluded from recall", video_id)
+        del spans[video_id]
+    return spans
+
+
 def recall_at_budget(proposals_by_video: dict[str, list], gt_by_video: dict[str, np.ndarray],
-                     budget: int, tious, warn: bool = True) -> np.ndarray:
+                     budget: int, tious) -> np.ndarray:
     """Pooled recall per overlap threshold with top-``budget`` proposals per
-    video; ``warn=False`` skips videos without ground truth silently."""
+    video; videos without ground truth are skipped with a warning."""
     tious = np.asarray(tious, dtype=np.float64)
     matched = np.zeros(len(tious))
     total = 0
-    for video_id, gt in gt_by_video.items():
-        gt = np.asarray(gt, dtype=np.float64).reshape(-1, 2)
-        if gt.shape[0] == 0:
-            if warn:
-                log.warning("video %s has no ground truth, excluded from recall", video_id)
-            continue
+    for video_id, gt in _annotated(gt_by_video).items():
         total += gt.shape[0]
         props = _sorted_proposals(proposals_by_video.get(video_id, []))[:budget]
         if props.shape[0] == 0:
@@ -123,10 +133,11 @@ def average_recall(proposals_by_video: dict[str, list], gt_by_video: dict[str, n
 
 def recall_curve(proposals_by_video: dict[str, list], gt_by_video: dict[str, np.ndarray],
                  cfg: EvalConfig) -> np.ndarray:
-    """Average recall at every budget 1..max_budget; only budget 1 warns."""
-    cfg.validate()
+    """Average recall at budgets 1..max_budget; videos without ground truth are dropped once."""
+    cfg.validate_curve()
+    annotated = _annotated(gt_by_video)
     return np.array([
-        recall_at_budget(proposals_by_video, gt_by_video, b, cfg.tious, warn=b == 1).mean()
+        recall_at_budget(proposals_by_video, annotated, b, cfg.tious).mean()
         for b in range(1, cfg.max_budget + 1)
     ])
 
@@ -180,23 +191,15 @@ def detection_map(detections_by_video: dict[str, list[Detection]],
         raise EmptyInputError("no ground-truth actions to score against")
     aps = []
     for label in labels:
-        gt_index: dict[str, np.ndarray] = {}
-        num_gt = 0
-        for video_id, gts in gt_by_video.items():
-            spans = np.array([[g[0], g[1]] for g in gts if g[2] == label], dtype=np.float64)
-            spans = spans.reshape(-1, 2)
-            gt_index[video_id] = spans
-            num_gt += spans.shape[0]
+        gt_index = {vid: np.array([[g[0], g[1]] for g in gts if g[2] == label],
+                                  dtype=np.float64).reshape(-1, 2)
+                    for vid, gts in gt_by_video.items()}
+        num_gt = sum(spans.shape[0] for spans in gt_index.values())
         dets = [
             (d.score, video_id, d.start, d.end)
             for video_id, ds in detections_by_video.items()
             for d in ds if d.label == label
         ]
-        if num_gt == 0:
-            continue
-        if not dets:
-            aps.append(0.0)
-            continue
         dets.sort(key=lambda r: -r[0])
         used = {vid: np.zeros(spans.shape[0], dtype=bool) for vid, spans in gt_index.items()}
         tp = np.zeros(len(dets))

@@ -28,4 +28,12 @@ class ProposalModel(Module):
             raise ShapeError(
                 f"{seq.video_id}: model expects {expected} snippets, got {seq.num_snippets}"
             )
+        rep = self.representation.cfg
+        # the environment is always read: it is the attention's scoring context
+        for stream, width, got, read in zip(
+                ("environment", "actor", "object"), (rep.env_dim, rep.actor_dim, rep.object_dim),
+                seq.dims(), (True, rep.use_actors, rep.use_objects)):
+            if read and width != got:
+                raise ShapeError(f"{seq.video_id}: model reads {stream} width {width}, "
+                                 f"the video has {got}")
         return self.boundary_net(self.representation.video(seq))

@@ -119,7 +119,7 @@ def weighted_binary_loss(pred: Tensor, labels: np.ndarray) -> tuple[Tensor, bool
     the prediction clipped to ``[PROBABILITY_FLOOR, 1 - PROBABILITY_FLOOR]``;
     an entry at or beyond either bound passes no gradient back. When one
     population is empty its term is dropped; the returned flag reports that
-    degenerate case.
+    degenerate case, and ``train`` warns about it once per video.
     """
     labels = np.asarray(labels, dtype=np.float64).ravel()
     if labels.size == 0:
@@ -128,14 +128,22 @@ def weighted_binary_loss(pred: Tensor, labels: np.ndarray) -> tuple[Tensor, bool
         raise ShapeError(f"{pred.data.size} predictions for {labels.size} labels")
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
-    degenerate = not (n_pos and n_neg)
-    if degenerate:
-        log.warning("one-sided labels (%d positive / %d negative): term dropped",
-                    n_pos, n_neg)
     loss = T.binary_cross_entropy(
         pred, labels / n_pos if n_pos else None, (1.0 - labels) / n_neg if n_neg else None,
         PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
-    return loss, degenerate
+    return loss, not (n_pos and n_neg)
+
+
+def _one_sided_terms(labels: VideoLabels, valid: np.ndarray) -> list[str]:
+    """The loss terms whose labels are all of one kind, with their counts;
+    ``valid`` is the grid's validity mask, since only valid cells are scored."""
+    terms = []
+    for name, values in (("start", labels.start), ("end", labels.end),
+                         ("grid", labels.grid[valid])):
+        n_pos = int(values.sum())
+        if n_pos in (0, values.size):
+            terms.append(f"{name} ({n_pos} positive / {values.size - n_pos} negative)")
+    return terms
 
 
 def proposal_grid_loss(pred: Tensor, labels: np.ndarray, valid: np.ndarray,
@@ -220,7 +228,7 @@ class EpochReport:
     mean_end: float
     mean_grid_ce: float
     mean_grid_mse: float
-    degenerate_terms: int = 0
+    degenerate_terms: int
 
     def json_line(self) -> str:
         return json.dumps(asdict(self))
@@ -234,19 +242,24 @@ def train(model: ProposalModel, features: dict[str, VideoFeatureSequence],
 
     Video order is reshuffled every epoch from (seed, epoch), so a resumed
     run revisits the same order it would have seen uninterrupted. The corpus
-    must pass ``check_corpus`` before the first step. Aborts on a non-finite
-    loss. ``on_epoch(model, report)`` fires after every epoch.
+    must pass ``check_corpus`` before the first step. A video whose labels
+    leave a loss term one-sided is warned about once, naming the terms; the
+    terms are dropped from its loss. Aborts on a non-finite loss.
+    ``on_epoch(model, report)`` fires after every epoch.
     """
     cfg.validate()
     check_corpus(annotations, features)
     ids = sorted(features)
 
     net_cfg = model.boundary_net.cfg
-    labels = {
-        vid: video_labels(annotations[vid], net_cfg.num_snippets,
-                          net_cfg.resolved_max_duration())
-        for vid in ids
-    }
+    max_duration = net_cfg.resolved_max_duration()
+    labels = {vid: video_labels(annotations[vid], net_cfg.num_snippets, max_duration)
+              for vid in ids}
+    valid = valid_cells(net_cfg.num_snippets, max_duration)
+    for vid in ids:
+        if terms := _one_sided_terms(labels[vid], valid):
+            log.warning("video %s has one-sided labels, terms dropped: %s",
+                        vid, ", ".join(terms))
     params = model.parameters()
     opt = optimizer or Adam(params, lr=cfg.learning_rate)
 

@@ -8,6 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
+from tapgkit import cli, evaluation
 from tapgkit.autodiff.checkpoint import load_checkpoint, save_checkpoint
 from tapgkit.cli import main
 from tapgkit.data.features import load_features, save_features
@@ -192,6 +193,20 @@ class TestInferCommand:
                      "--out", str(out), "--preset", "thumos-tad-nms"]) == 0
         assert out.exists()
 
+    def test_preset_override_keeps_the_files_max_keep(self, small_ini, corpus_dir, run_dir,
+                                                      tmp_path, capsys):
+        ini = tmp_path / "keep.ini"
+        ini.write_text(small_ini.read_text()
+                       + "\n[inference]\npreset = anet-tapg-snms\nmax_keep = 2\n")
+        out = tmp_path / "proposals.json"
+        assert main(["infer", "--config", str(ini), "--data", str(corpus_dir),
+                     "--checkpoint", str(run_dir / "checkpoint.tapg"),
+                     "--out", str(out), "--preset", "thumos-tapg-snms"]) == 0
+        manifest = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert manifest["config"]["inference"]["max_keep"] == 2
+        assert manifest["config"]["inference"]["overlap_offset"] == 0.65
+        assert max(len(v) for v in json.loads(out.read_text()).values()) <= 2
+
 
 @pytest.fixture(scope="module")
 def report_dir(small_ini, corpus_dir, run_dir, tmp_path_factory):
@@ -234,6 +249,34 @@ class TestEvalCommand:
         assert code == 0
         assert [r.getMessage() for r in caplog.records] == [
             f"video {bare} has no ground truth, excluded from recall"]
+
+
+    def test_one_recall_pass_per_curve_budget(self, small_ini, corpus_dir, run_dir, tmp_path,
+                                              monkeypatch):
+        # the report budgets are read off the curve, not recomputed
+        proposals = tmp_path / "proposals.json"
+        assert main(["infer", "--config", str(small_ini), "--data", str(corpus_dir),
+                     "--checkpoint", str(run_dir / "checkpoint.tapg"),
+                     "--out", str(proposals)]) == 0
+        passes = []
+        recall_at_budget = evaluation.recall_at_budget
+
+        def counted(*args, **kwargs):
+            passes.append(args[2])
+            return recall_at_budget(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "recall_at_budget", counted)
+        # and any copy of the name the command module imported
+        monkeypatch.setattr(cli, "recall_at_budget", counted, raising=False)
+        out = tmp_path / "report"
+        assert main(["eval", "--config", str(small_ini), "--proposals", str(proposals),
+                     "--annotations", str(corpus_dir / "annotations.json"),
+                     "--out", str(out)]) == 0
+        assert passes == list(range(1, 101))
+        report = json.loads((out / "report.json").read_text())
+        curve = (out / "ar_curve.csv").read_text().splitlines()[1:]
+        for budget, recall in report["average_recall_at_budget"].items():
+            assert curve[int(budget) - 1] == f"{budget},{recall:.6f}"
 
 
 class TestSweepCommand:

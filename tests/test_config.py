@@ -124,6 +124,7 @@ class TestDefaults:
         assert cfg.boundary.num_samples == 16
         assert cfg.training.epochs == 30
         assert cfg.training.mse_weight == 10.0
+        assert cfg.training.seed == 0
         assert isinstance(cfg.suppression, SoftSuppressionConfig)
         assert cfg.evaluation.max_budget == 100
 
@@ -267,8 +268,17 @@ learning_rate = 0.01
         path.write_text("[evaluation]\nmax_budget = 1\n")
         with pytest.raises(ShapeError, match="max_budget"):
             load_run_config(path)
-        path.write_text("[evaluation]\nmax_budget = 2\n")
+        path.write_text("[evaluation]\nmax_budget = 2\nreport_budgets = 1, 2\n")
         assert load_run_config(path).evaluation.max_budget == 2
+
+    def test_report_budget_off_the_curve_rejected(self, tmp_path):
+        # the report reads each budget off the curve, which ends at max_budget
+        path = tmp_path / "run.ini"
+        path.write_text("[evaluation]\nmax_budget = 50\nreport_budgets = 1, 51\n")
+        with pytest.raises(ShapeError, match="report_budgets"):
+            load_run_config(path)
+        path.write_text("[evaluation]\nmax_budget = 50\nreport_budgets = 1, 50\n")
+        assert load_run_config(path).evaluation.report_budgets == (1, 50)
 
     def test_zero_tiou_rejected(self, tmp_path):
         path = tmp_path / "run.ini"

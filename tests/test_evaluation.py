@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from tapgkit import evaluation
 from tapgkit.errors import EmptyInputError, ShapeError
 from tapgkit.evaluation import (
     DEFAULT_TIOUS,
@@ -247,15 +248,37 @@ class TestRecallCurve:
             EvalConfig(tious=(0.5, 1.5)).validate()
         with pytest.raises(ShapeError):
             EvalConfig(tious=(0.0, 0.5)).validate()
+        EvalConfig(tious=(0.5, 1.0)).validate()
         with pytest.raises(ShapeError):
             EvalConfig(max_budget=0).validate()
         # the curve's area needs two budgets
         with pytest.raises(ShapeError, match="max_budget"):
             EvalConfig(max_budget=1).validate()
-        EvalConfig(max_budget=2).validate()
+        EvalConfig(max_budget=2, report_budgets=(1, 2)).validate()
         for budgets in ((0,), (-1, 5)):
             with pytest.raises(ShapeError):
                 EvalConfig(report_budgets=budgets).validate()
+
+    def test_report_budgets_must_lie_on_the_curve(self):
+        with pytest.raises(ShapeError, match="report_budgets"):
+            EvalConfig(max_budget=12, report_budgets=(1, 13)).validate()
+        EvalConfig(max_budget=12, report_budgets=(1, 12)).validate()
+        # the curve itself needs only its own settings
+        proposals, gt = self._fixture()
+        assert recall_curve(proposals, gt, EvalConfig(max_budget=12)).shape == (12,)
+
+    def test_one_recall_pass_per_budget(self, monkeypatch):
+        proposals, gt = self._fixture()
+        gt = {**gt, "bare": np.zeros((0, 2))}
+        seen = []
+
+        def counted(proposals_by_video, gt_by_video, budget, tious):
+            seen.append((budget, sorted(gt_by_video)))
+            return recall_at_budget(proposals_by_video, gt_by_video, budget, tious)
+
+        monkeypatch.setattr(evaluation, "recall_at_budget", counted)
+        recall_curve(proposals, gt, EvalConfig(max_budget=12))
+        assert seen == [(b, ["v0", "v1", "v2"]) for b in range(1, 13)]
 
 
 class TestCurveArea:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tapgkit.errors import (
     DegenerateInputError,
     EmptyInputError,
     FileFormatError,
+    ShapeError,
 )
 from tapgkit.inference import (
     HardSuppressionConfig,
@@ -121,6 +123,10 @@ class TestBoundaryCandidates:
         np.testing.assert_array_equal(boundary_candidates(np.array([0.3, 1.0, 0.05])),
                                       [1])
 
+    def test_empty_sequence_has_no_candidates(self):
+        got = boundary_candidates(np.zeros(0))
+        assert got.dtype == np.int64 and got.shape == (0,)
+
     def test_exactly_half_the_maximum_is_a_candidate(self):
         # 0.5 is not a local max; 0.25 is below half
         np.testing.assert_array_equal(boundary_candidates(np.array([1.0, 0.5, 0.25])),
@@ -162,6 +168,15 @@ class TestPairing:
     def test_duration_cap_respected(self):
         out = _toy_output(seed=3, num_snippets=12, max_duration=3)
         assert all(e - s <= 3 for s, e, _ in pair_candidates(out))
+
+    def test_pair_at_the_duration_cap_is_kept(self):
+        # start candidates {0, 1}, end candidates {3}: durations 3 (the cap) and 2
+        valid = valid_cells(6, 3)
+        out = BoundaryNetOutput(
+            start=T.constant(np.array([0.9, 0.5, 0.3, 0.2, 0.1, 0.05])),
+            end=T.constant(np.array([0.05, 0.1, 0.2, 0.9, 0.3, 0.1])),
+            actionness=T.constant(np.full(int(valid.sum()), 0.5)), valid=valid)
+        np.testing.assert_array_equal(pair_candidates(out)[:, :2], [[0, 3], [1, 3]])
 
     def test_single_snippet_has_no_candidates(self):
         out = _toy_output(seed=4, num_snippets=1, max_duration=1)
@@ -286,6 +301,17 @@ class TestHardSuppression:
         assert _triples(nms(proposals, cfg)) == _triples(_nms_oracle(proposals, cfg))
 
 
+class TestSuppressionBounds:
+    def test_zero_sigma_rejected(self):
+        with pytest.raises(ConfigError, match="sigma"):
+            SoftSuppressionConfig(sigma=0.0).validate()
+
+    def test_zero_hard_threshold_rejected(self):
+        with pytest.raises(ConfigError, match="threshold"):
+            HardSuppressionConfig(threshold=0.0).validate()
+        HardSuppressionConfig(threshold=1.0).validate()
+
+
 class TestPresets:
     def test_named_parameter_sets(self):
         a = suppression_preset("anet-tapg-snms")
@@ -296,6 +322,8 @@ class TestPresets:
         assert (d.sigma, d.overlap_offset, d.distance_weight) == (0.4, 0.0, 0.0)
         h = suppression_preset("thumos-tad-nms")
         assert isinstance(h, HardSuppressionConfig) and h.threshold == 0.45
+        # AR@100 reads the top 100 proposals of a video
+        assert [p.max_keep for p in (a, t, d, h)] == [100] * 4
 
     def test_presets_return_copies(self):
         one = suppression_preset("anet-tapg-snms")
@@ -534,6 +562,12 @@ class TestDecodeCorpus:
         assert record["kept_per_video"]["max"] == max(len(p) for p in proposals.values())
         assert record["seconds"] >= 0.0
 
+    def test_decode_time_is_within_the_call(self):
+        corpus, model, cfg = self._corpus()
+        start = time.perf_counter()
+        _, record = decode_corpus(model, corpus.features, corpus.annotations, cfg)
+        assert 0.0 < record["seconds"] <= time.perf_counter() - start
+
     def test_video_off_its_time_axis_rejected(self):
         corpus, model, cfg = self._corpus()
         vid = sorted(corpus.annotations)[2]
@@ -541,6 +575,17 @@ class TestDecodeCorpus:
                        vid: dataclasses.replace(corpus.annotations[vid], frame_count=640)}
         with pytest.raises(ConfigError, match=vid):
             decode_corpus(model, corpus.features, annotations, cfg)
+
+
+    def test_model_of_other_stream_widths_names_the_video(self):
+        corpus, model, cfg = self._corpus()
+        run = RunConfig()
+        narrow = generate_corpus(dataclasses.replace(run.synthetic, num_videos=3,
+                                                     actor_dim=run.synthetic.actor_dim - 1))
+        first = min(narrow.features)
+        with pytest.raises(ShapeError, match=f"{first}: model reads actor width 16, "
+                                             f"the video has 15"):
+            decode_corpus(model, narrow.features, narrow.annotations, cfg)
 
 
 class TestClassScoreMerge:
@@ -551,6 +596,16 @@ class TestClassScoreMerge:
                                     top_k=2)
         got = {(d.label, round(d.score, 6)) for d in scored}
         assert got == {("swing", 0.4), ("lift", 0.3)}
+
+    def test_default_fuses_the_top_two_classes(self):
+        scored = merge_class_scores([Proposal(0.0, 2.0, 0.5)],
+                                    {"swing": 0.8, "lift": 0.6, "kick": 0.1})
+        assert [d.label for d in scored] == ["swing", "lift"]
+
+    def test_equal_class_scores_rank_by_name(self):
+        scored = merge_class_scores([Proposal(0.0, 2.0, 0.5)],
+                                    {"swing": 0.6, "lift": 0.6, "kick": 0.6}, top_k=2)
+        assert [d.label for d in scored] == ["kick", "lift"]
 
     def test_empty_class_scores_rejected(self):
         with pytest.raises(EmptyInputError):

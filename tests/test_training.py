@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import logging
 import tracemalloc
 import weakref
 
@@ -24,8 +25,10 @@ from tapgkit.errors import (
     FileFormatError,
     ShapeError,
 )
+from tapgkit.evaluation import interval_iou
 from tapgkit.representation import RepresentationConfig
 from tapgkit.training import (
+    GRID_TIE_TOLERANCE,
     PROBABILITY_FLOOR,
     TrainConfig,
     boundary_labels,
@@ -125,6 +128,16 @@ class TestGridLabels:
         np.testing.assert_array_equal(labels, want)
         assert labels.sum() >= 1.0
 
+    def test_cell_exactly_at_the_tie_tolerance_is_labeled(self):
+        # on [0, e], cell [0, 1] scores best (1 / e) and cell [0, 2] (e / 2)
+        # scores exactly GRID_TIE_TOLERANCE less in float64 for this e
+        e = float.fromhex("0x1.6a09e663a839dp+0")
+        iou = interval_iou(np.array([[0.0, 1.0], [0.0, 2.0]]), np.array([0.0, e]))
+        assert iou[1] == iou[0] - GRID_TIE_TOLERANCE
+        labels = grid_labels([(0.0, e)], 4, 4)
+        assert labels[0, 0] == labels[1, 0] == 1.0
+        assert labels.sum() == 2.0
+
     def test_invalid_cells_never_labeled(self):
         labels = grid_labels([(6.0, 8.0)], 8, 8)
         assert not labels[~valid_cells(8, 8)].any()
@@ -173,6 +186,11 @@ class TestBinaryLoss:
         pred = T.constant(np.array([1.0, 0.0]))
         loss, _ = weighted_binary_loss(pred, np.array([1.0, 0.0]))
         assert np.isfinite(loss.item())
+
+    def test_single_entry_is_a_one_sided_loss(self):
+        loss, degenerate = weighted_binary_loss(T.parameter(np.array([0.25])), np.array([1.0]))
+        np.testing.assert_allclose(loss.item(), -np.log(0.25))
+        assert degenerate
 
     def test_empty_labels_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -236,6 +254,17 @@ class TestGridLoss:
 
 
 class TestTotalLoss:
+    def test_each_one_sided_term_is_counted(self):
+        # no actions: start, end and grid labels are all negative
+        t, d = 8, 4
+        valid = valid_cells(t, d)
+        output = BoundaryNetOutput(
+            start=T.parameter(np.full(t, 0.5)), end=T.parameter(np.full(t, 0.5)),
+            actionness=T.parameter(np.full(int(valid.sum()), 0.5)), valid=valid)
+        bare = VideoAnnotation("v", duration=8.0, fps=1.0, frame_count=8, annotations=[])
+        _, report = total_loss(output, video_labels(bare, t, d), 10.0)
+        assert report.degenerate_terms == 3
+
     def test_backward_hands_no_gradient_to_a_constant(self, monkeypatch):
         # the label constants enter sub and mul; their side of the product is
         # skipped, not computed and then dropped
@@ -352,6 +381,62 @@ class TestEpochLoop:
               TrainConfig(epochs=3, seed=6),
               on_epoch=lambda m, r: seen.append(r.epoch))
         assert seen == [0, 1, 2]
+
+
+class TestTrainConfig:
+    def test_zero_learning_rate_rejected(self):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=0.0).validate()
+
+    def test_zero_mse_weight_accepted(self):
+        # a weight of 0 turns the grid MSE off, a valid sweep value
+        TrainConfig(mse_weight=0.0).validate()
+        with pytest.raises(ConfigError, match="mse_weight"):
+            TrainConfig(mse_weight=-0.5).validate()
+
+
+class TestOneSidedWarning:
+    def test_one_warning_per_video_naming_its_terms(self, caplog):
+        corpus, model = _tiny_setup(seed=3)
+        bare = sorted(corpus.annotations)[1]
+        annotations = {**corpus.annotations,
+                       bare: dataclasses.replace(corpus.annotations[bare], annotations=[])}
+        with caplog.at_level(logging.WARNING, logger="tapgkit.training"):
+            reports = train(model, corpus.features, annotations, TrainConfig(epochs=2, seed=3))
+        valid = int(valid_cells(16, 16).sum())
+        assert [r.getMessage() for r in caplog.records] == [
+            f"video {bare} has one-sided labels, terms dropped: start (0 positive / 16 "
+            f"negative), end (0 positive / 16 negative), grid (0 positive / {valid} negative)"]
+        # the epoch log still counts every dropped term of every step
+        assert [r.degenerate_terms for r in reports] == [3, 3]
+
+    def test_weighted_binary_loss_does_not_log(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="tapgkit.training"):
+            _, degenerate = weighted_binary_loss(T.parameter(np.array([0.3, 0.6])),
+                                                 np.array([1.0, 1.0]))
+        assert degenerate and caplog.records == []
+
+
+class TestModelWidths:
+    def _narrow_corpus(self):
+        """A model built on the tiny corpus, and that corpus regenerated with
+        actors one column narrower."""
+        corpus, model = _tiny_setup(seed=4)
+        narrow = generate_corpus(SyntheticConfig(
+            num_videos=3, num_snippets=16, snippet_stride=8, env_dim=8, actor_dim=7,
+            object_dim=8, max_action_len=6, seed=4))
+        return model, narrow
+
+    def test_train_names_the_video_before_any_step(self):
+        model, narrow = self._narrow_corpus()
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        optimizer = Adam(model.parameters())
+        with pytest.raises(ShapeError, match=r"synth_\d{4}: model reads actor width 8, the video has 7"):
+            train(model, narrow.features, narrow.annotations, TrainConfig(epochs=1),
+                  optimizer=optimizer)
+        assert optimizer.t == 0
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
 
 
 def _desk_step():
