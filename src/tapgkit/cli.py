@@ -15,7 +15,8 @@ proposals, manifest.json, report.json, the AR curve files and sweep results)
 are replaced in one step by ``files.write_atomic``, so an interrupted command
 leaves the previous file intact; ``epochs.jsonl`` is an append log. A
 checkpoint holds the optimizer state too, so ``train --resume`` continues
-exactly where the interrupted run stopped.
+exactly where the interrupted run stopped, after cutting the log back to the
+epochs the checkpoint holds.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from tapgkit.config import (
     describe,
     load_run_config,
     render,
-    write_default_config,
 )
 from tapgkit.data.annotations import load_annotations
 from tapgkit.data.synthetic import load_corpus, write_corpus
@@ -107,7 +107,7 @@ def _environment() -> dict:
 
 def _cmd_config(args) -> int:
     if args.out:
-        write_default_config(args.out)
+        write_atomic(args.out, render(RunConfig()))
         print(json.dumps({"command": "config", "written": str(args.out)}))
     else:
         sys.stdout.write(render(RunConfig()))
@@ -118,10 +118,10 @@ def _cmd_synth(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg.synthetic.seed = args.seed
-    out_dir = Path(args.out) if args.out else cfg.data_root
-    corpus = write_corpus(cfg.synthetic, out_dir)
+    if args.out:
+        cfg.data_root = Path(args.out)
+    corpus = write_corpus(cfg.synthetic, cfg.data_root)
     _print_manifest("synth", cfg, {
-        "out": str(out_dir),
         "videos": len(corpus.annotations),
         "classes": corpus.class_names,
     })
@@ -134,12 +134,14 @@ def _cmd_train(args) -> int:
         cfg.training.seed = args.seed
     if args.epochs is not None:
         cfg.training.epochs = args.epochs
-    data_root = Path(args.data) if args.data else cfg.data_root
+    if args.data:
+        cfg.data_root = Path(args.data)
+    cfg.training.validate()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    annotations, features = load_corpus(data_root)
-    model = build_model(cfg, features, cfg.training.seed)
+    annotations, features = load_corpus(cfg.data_root)
+    model = build_model(cfg, features)
     optimizer = Adam(model.parameters(), lr=cfg.training.learning_rate)
     start_epoch = 0
     if args.resume:
@@ -149,22 +151,26 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"nothing to do: checkpoint already at epoch {start_epoch} "
                           f"of {cfg.training.epochs}")
 
-    _print_manifest("train", cfg, {"data": str(data_root), "out": str(out_dir),
-                                   "start_epoch": start_epoch})
+    _print_manifest("train", cfg, {"out": str(out_dir), "start_epoch": start_epoch})
     checkpoint_path = out_dir / "checkpoint.tapg"
+    epoch_log = out_dir / "epochs.jsonl"
 
     def checkpoint_epoch(trained_model, report):
         save_training_state(checkpoint_path, trained_model, report.epoch + 1, optimizer)
 
-    with open(out_dir / "epochs.jsonl", "a" if args.resume else "w") as stream:
+    if args.resume:
+        write_atomic(epoch_log, _epochs_before(epoch_log, start_epoch))
+    with open(epoch_log, "a" if args.resume else "w") as stream:
         reports = train(model, features, annotations, cfg.training,
                         log_stream=stream, optimizer=optimizer, start_epoch=start_epoch,
                         on_epoch=checkpoint_epoch)
     final = reports[-1].mean_total if reports else float("nan")
     trainable = sum(p.size for p in model.parameters())
     manifest = describe(cfg)
+    rep_cfg, net_cfg = model.representation.cfg, model.boundary_net.cfg
     manifest["run"] = {
-        "data": str(data_root),
+        "input": {"env_dim": rep_cfg.env_dim, "actor_dim": rep_cfg.actor_dim,
+                  "object_dim": rep_cfg.object_dim, "num_snippets": net_cfg.num_snippets},
         "videos": len(features),
         "epochs_completed": start_epoch + len(reports),
         "final_mean_loss": final,
@@ -184,9 +190,11 @@ def _cmd_infer(args) -> int:
     if args.preset:
         cfg.suppression = dataclasses.replace(suppression_preset(args.preset),
                                               max_keep=cfg.suppression.max_keep)
-    data_root = Path(args.data) if args.data else cfg.data_root
-    annotations, features = load_corpus(data_root)
-    model = build_model(cfg, features, cfg.training.seed)
+    if args.data:
+        cfg.data_root = Path(args.data)
+    cfg.training.validate()
+    annotations, features = load_corpus(cfg.data_root)
+    model = build_model(cfg, features)
     load_training_state(args.checkpoint, model)
     proposals, decode = decode_corpus(model, features, annotations, cfg.suppression)
     save_proposals(args.out, proposals)
@@ -231,20 +239,23 @@ def _cmd_sweep(args) -> int:
     cfg = load_run_config(args.config)
     if args.epochs is not None:
         cfg.training.epochs = args.epochs
+    if args.data:
+        cfg.data_root = Path(args.data)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"--values must be a comma list of numbers: {args.values!r}")
     if not values:
         raise ConfigError("--values lists no weights")
-    data_root = Path(args.data) if args.data else cfg.data_root
-    annotations, features = load_corpus(data_root)
+    runs = [dataclasses.replace(cfg.training, mse_weight=weight) for weight in values]
+    for run_cfg in runs:    # every weight is checked before any is trained
+        run_cfg.validate()
+    annotations, features = load_corpus(cfg.data_root)
     gt = ground_truth(annotations)
 
     results = []
-    for weight in values:
-        run_cfg = dataclasses.replace(cfg.training, mse_weight=weight)
-        model = build_model(cfg, features, run_cfg.seed)
+    for weight, run_cfg in zip(values, runs):
+        model = build_model(cfg, features)
         reports = train(model, features, annotations, run_cfg)
         proposals, _ = decode_corpus(model, features, annotations, cfg.suppression)
         ar10 = average_recall(proposals, gt, 10, cfg.evaluation.tious)
@@ -260,6 +271,22 @@ def _cmd_sweep(args) -> int:
     write_atomic(out, json.dumps(results, indent=2))
     _print_manifest("sweep", cfg, {"out": str(out), "results": results})
     return 0
+
+
+def _epochs_before(path: Path, epochs: int) -> str:
+    """The leading lines of the epoch log at ``path`` that record an epoch below
+    ``epochs``: a checkpoint write that failed after its epoch was logged, or a
+    torn last line, leaves lines that a resumed run must not keep."""
+    kept = []
+    text = path.read_text(encoding="utf-8", errors="replace") if path.exists() else ""
+    for line in text.splitlines():
+        try:
+            if not json.loads(line)["epoch"] < epochs:
+                break
+        except (ValueError, TypeError, KeyError):
+            break
+        kept.append(line + "\n")
+    return "".join(kept)
 
 
 # ---------------------------------------------------------------------------

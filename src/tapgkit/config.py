@@ -5,6 +5,10 @@ Sections and keys are strict: anything unrecognized is an error, so typos
 fail loudly instead of silently using a default. Model input widths are not
 configured here; ``build_model`` reads them from the data.
 
+``describe(cfg)`` is the one description of a configuration: the keys a file
+may set, under the file's own names. Manifests record it, and ``render``
+formats it as the INI file that reproduces the run.
+
 Threshold lists accept either an inclusive ``start:step:stop`` range
 (``0.5:0.05:0.95``) or an explicit comma list (``0.5, 0.75``).
 
@@ -27,7 +31,6 @@ from tapgkit.data.features import VideoFeatureSequence
 from tapgkit.data.synthetic import SyntheticConfig
 from tapgkit.errors import ConfigError
 from tapgkit.evaluation import EvalConfig
-from tapgkit.files import write_atomic
 from tapgkit.inference import (
     HardSuppressionConfig,
     SoftSuppressionConfig,
@@ -157,33 +160,32 @@ _SECTIONS = {
 }
 
 
-def build_model(cfg: RunConfig, features: dict[str, VideoFeatureSequence],
-                seed: int) -> ProposalModel:
-    """A model initialised from ``seed`` for this corpus: the stream widths and
-    the snippet count are the first video's (by id), the rest is ``cfg``."""
+def build_model(cfg: RunConfig, features: dict[str, VideoFeatureSequence]) -> ProposalModel:
+    """A model initialised from ``cfg.training.seed`` for this corpus: the stream
+    widths and the snippet count are the first video's (by id), the rest is ``cfg``."""
     first = features[min(features)]
     d_e, d_a, d_o = first.dims()
     rep_cfg = dataclasses.replace(cfg.representation, env_dim=d_e,
                                   actor_dim=d_a, object_dim=d_o)
     net_cfg = cfg.boundary.build(rep_cfg.feature_dim, first.num_snippets)
-    return ProposalModel(np.random.default_rng(seed), rep_cfg, net_cfg)
+    return ProposalModel(np.random.default_rng(cfg.training.seed), rep_cfg, net_cfg)
+
+
+# [inference] mode -> the preset whose parameters it starts from
+_MODES = {"soft": "anet-tad-snms", "hard": "thumos-tad-nms"}
 
 
 def _read_suppression(sec: _Section, default):
     """A preset (only ``max_keep`` may be overridden) or explicit soft/hard parameters."""
     mode = sec.get("mode")
-    if mode == "":
-        preset = sec.get("preset")
-        base = suppression_preset(preset) if preset else default
-        sup = sec.read(base, skip=[f.name for f in dataclasses.fields(base)
-                                   if f.name != "max_keep"])
-    elif mode == "soft":
-        sup = sec.read(SoftSuppressionConfig(sigma=0.4))
-    elif mode == "hard":
-        sup = sec.read(HardSuppressionConfig(threshold=0.45))
-    else:
+    if mode in _MODES:
+        return sec.read(suppression_preset(_MODES[mode]))
+    if mode:
         raise ConfigError(f"[inference] mode must be 'soft' or 'hard', got {mode!r}")
-    return sup
+    preset = sec.get("preset")
+    base = suppression_preset(preset) if preset else default
+    return sec.read(base, skip=[f.name for f in dataclasses.fields(base)
+                                if f.name != "max_keep"])
 
 
 def load_run_config(path=None) -> RunConfig:
@@ -227,17 +229,16 @@ def load_run_config(path=None) -> RunConfig:
     return cfg
 
 
-def write_default_config(path) -> None:
-    write_atomic(path, render(RunConfig()))
-
-
 def describe(cfg: RunConfig) -> dict:
-    """JSON-friendly dump of a resolved run configuration."""
+    """Every key an INI file may set, by section, under the file's own names:
+    ``[inference]`` gives its soft/hard choice as ``mode``, and the stream
+    widths, which come from the data, are left out."""
     payload = {"data": {"root": str(cfg.data_root)}}
-    for name, (attr, _) in _SECTIONS.items():
-        payload[name] = dataclasses.asdict(getattr(cfg, attr))
-    kind = "soft" if isinstance(cfg.suppression, SoftSuppressionConfig) else "hard"
-    payload["inference"] = {"kind": kind, **payload["inference"]}
+    for name, (attr, skip) in _SECTIONS.items():
+        values = dataclasses.asdict(getattr(cfg, attr))
+        payload[name] = {key: value for key, value in values.items() if key not in skip}
+    mode = "soft" if isinstance(cfg.suppression, SoftSuppressionConfig) else "hard"
+    payload["inference"] = {"mode": mode, **payload["inference"]}
     return payload
 
 
@@ -246,24 +247,17 @@ def _ini_value(value) -> str:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return ", ".join(map(str, value))
     return str(value)
 
 
-def render(cfg: RunConfig) -> str:
-    """The INI text of ``cfg``: every key a file may set, and nothing else.
-
-    ``[inference]`` is written as ``mode = soft|hard`` and that mode's
-    explicit parameters, whichever preset they came from.
-    """
-    skips = {name: skip for name, (_, skip) in _SECTIONS.items()}
+def render(cfg: RunConfig | dict) -> str:
+    """``describe(cfg)`` as INI text; ``cfg`` may also be that description
+    itself, such as a manifest's ``config`` block read back from JSON."""
     blocks = []
-    for name, values in describe(cfg).items():
-        lines = [f"[{name}]"]
-        for key, value in values.items():
-            if key not in skips.get(name, ()):
-                key = "mode" if (name, key) == ("inference", "kind") else key
-                lines.append(f"{key} = {_ini_value(value)}".rstrip())
+    for name, values in (describe(cfg) if isinstance(cfg, RunConfig) else cfg).items():
+        lines = [f"[{name}]"] + [f"{key} = {_ini_value(value)}".rstrip()
+                                 for key, value in values.items()]
         blocks.append("\n".join(lines) + "\n")
     return "\n".join(blocks)

@@ -82,6 +82,8 @@ class SyntheticConfig:
             raise ConfigError("max_actors and objects_per_snippet must be at least 1")
         if self.signal <= 0 or self.noise < 0:
             raise ConfigError("signal must be positive and noise non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

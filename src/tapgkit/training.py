@@ -214,10 +214,13 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.mse_weight < 0:
-            raise ConfigError("mse_weight must be non-negative")
+        if not (0 < self.learning_rate < np.inf):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not (0 <= self.mse_weight < np.inf):
+            raise ConfigError(f"mse_weight must be non-negative and finite, got {self.mse_weight}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

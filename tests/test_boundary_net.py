@@ -166,6 +166,20 @@ class TestNetwork:
         with pytest.raises(ConfigError):
             BoundaryNetConfig(feature_dim=4, num_snippets=8, num_samples=1).validate()
 
+    @pytest.mark.parametrize("field", ["feature_dim", "num_snippets"])
+    def test_data_extents_must_be_positive(self, field):
+        extents = dict(feature_dim=4, num_snippets=8)
+        with pytest.raises(ConfigError, match="feature_dim and num_snippets must be positive"):
+            BoundaryNetConfig(**{**extents, field: 0}).validate()
+        BoundaryNetConfig(**{**extents, field: 1}).validate()
+
+    @pytest.mark.parametrize("field", ["trunk_hidden", "trunk_out", "boundary_hidden",
+                                       "proposal_conv3d_out", "proposal_conv2d_hidden"])
+    def test_channel_widths_must_be_positive(self, field):
+        with pytest.raises(ConfigError, match="channel widths must be positive"):
+            BoundaryNetConfig(feature_dim=4, num_snippets=8, **{field: 0}).validate()
+        BoundaryNetConfig(feature_dim=4, num_snippets=8, **{field: 1}).validate()
+
     def test_gradients_reach_the_trunk(self):
         rng = np.random.default_rng(5)
         net = BoundaryNet(rng, self._cfg())

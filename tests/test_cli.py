@@ -1,5 +1,6 @@
 """Command-line entry points, exercised end to end in a temp directory."""
 
+import configparser
 import json
 import logging
 import os
@@ -11,14 +12,12 @@ import pytest
 from tapgkit import cli, evaluation
 from tapgkit.autodiff.checkpoint import load_checkpoint, save_checkpoint
 from tapgkit.cli import main
+from tapgkit.config import RunConfig, load_run_config, render
 from tapgkit.data.features import load_features, save_features
+from tapgkit.inference import PRESETS
 
-
-@pytest.fixture(scope="module")
-def small_ini(tmp_path_factory):
-    """A corpus and training profile small enough for fast CLI runs."""
-    path = tmp_path_factory.mktemp("cfg") / "run.ini"
-    path.write_text("""
+# A corpus and training profile small enough for fast CLI runs.
+SMALL_INI = """
 [synthetic]
 num_videos = 4
 num_snippets = 16
@@ -42,7 +41,13 @@ proposal_conv2d_hidden = 12
 
 [training]
 epochs = 2
-""")
+"""
+
+
+@pytest.fixture(scope="module")
+def small_ini(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "run.ini"
+    path.write_text(SMALL_INI)
     return path
 
 
@@ -60,6 +65,19 @@ def run_dir(small_ini, corpus_dir, tmp_path_factory):
                  "--data", str(corpus_dir), "--out", str(out)])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def three_epoch_run(small_ini, corpus_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run3")
+    assert main(["train", "--config", str(small_ini), "--data", str(corpus_dir),
+                 "--out", str(out), "--epochs", "3"]) == 0
+    return out
+
+
+def _same_training(out, reference):
+    for name in ("checkpoint.tapg", "epochs.jsonl"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
 
 class TestConfigCommand:
@@ -86,6 +104,7 @@ class TestSynthCommand:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         manifest = json.loads(line)
         assert manifest["videos"] == 4
+        assert manifest["config"]["data"]["root"] == str(tmp_path / "c")
 
     def test_seed_override_changes_data(self, small_ini, tmp_path):
         main(["synth", "--config", str(small_ini), "--out",
@@ -148,6 +167,63 @@ class TestTrainCommand:
         assert main(args + ["--resume", str(out / "checkpoint.tapg")]) == 0
         for name in ("checkpoint.tapg", "epochs.jsonl"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_resume_after_a_failed_checkpoint_write(self, small_ini, corpus_dir,
+                                                    three_epoch_run, tmp_path, monkeypatch):
+        # the second epoch is logged, then writing its checkpoint fails
+        out = tmp_path / "failed"
+        args = ["train", "--config", str(small_ini), "--data", str(corpus_dir),
+                "--out", str(out), "--epochs", "3"]
+        save = cli.save_training_state
+
+        def fail_at_epoch_two(path, model, epochs_completed, optimizer=None):
+            if epochs_completed == 2:
+                raise OSError("no space left on device")
+            save(path, model, epochs_completed, optimizer)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "save_training_state", fail_at_epoch_two)
+            assert main(args) == 2
+        assert len((out / "epochs.jsonl").read_text().splitlines()) == 2
+        assert main(args + ["--resume", str(out / "checkpoint.tapg")]) == 0
+        _same_training(out, three_epoch_run)
+
+    def test_resume_drops_a_torn_last_line(self, small_ini, corpus_dir, three_epoch_run,
+                                           tmp_path):
+        out = tmp_path / "torn"
+        args = ["train", "--config", str(small_ini), "--data", str(corpus_dir),
+                "--out", str(out)]
+        assert main(args) == 0
+        with open(out / "epochs.jsonl", "a") as log:
+            log.write('{"epoch": 2, "mean_tot')
+        assert main(args + ["--epochs", "3", "--resume", str(out / "checkpoint.tapg")]) == 0
+        _same_training(out, three_epoch_run)
+
+    def test_seed_override(self, small_ini, corpus_dir, tmp_path):
+        args = ["train", "--config", str(small_ini), "--data", str(corpus_dir), "--epochs", "1"]
+        assert main(args + ["--out", str(tmp_path / "default")]) == 0
+        assert main(args + ["--out", str(tmp_path / "seeded"), "--seed", "1"]) == 0
+        default, seeded = ((tmp_path / d / "checkpoint.tapg").read_bytes()
+                           for d in ("default", "seeded"))
+        assert default != seeded
+        manifest = json.loads((tmp_path / "seeded" / "manifest.json").read_text())
+        assert manifest["training"]["seed"] == 1
+
+    def test_manifest_records_the_extents_the_model_read(self, tmp_path):
+        ini = tmp_path / "narrow.ini"
+        ini.write_text(SMALL_INI.replace("actor_dim = 8", "actor_dim = 6"))
+        assert main(["synth", "--config", str(ini), "--out", str(tmp_path / "corpus")]) == 0
+        assert main(["train", "--config", str(ini), "--data", str(tmp_path / "corpus"),
+                     "--out", str(tmp_path / "run"), "--epochs", "1"]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["run"]["input"] == {"env_dim": 8, "actor_dim": 6, "object_dim": 8,
+                                            "num_snippets": 16}
+        assert not {"env_dim", "actor_dim", "object_dim"} & set(manifest["representation"])
+
+    def test_zero_epochs_rejected(self, small_ini, corpus_dir, tmp_path, capsys):
+        assert main(["train", "--config", str(small_ini), "--data", str(corpus_dir),
+                     "--out", str(tmp_path / "run"), "--epochs", "0"]) == 2
+        assert _config_error(capsys) == "epochs must be at least 1"
 
     def test_epoch_override(self, small_ini, corpus_dir, tmp_path):
         out = tmp_path / "short"
@@ -292,6 +368,91 @@ class TestSweepCommand:
                    for r in results)
 
 
+class TestManifestConfig:
+    """A manifest's ``config`` block is the INI file that reproduces the run."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_train_manifest_renders_the_runs_file(self, corpus_dir, tmp_path, capsys, preset):
+        ini = tmp_path / "run.ini"
+        ini.write_text(SMALL_INI.replace("[boundary_net]\n", "[boundary_net]\nmax_duration = 12\n")
+                       + f"\n[inference]\npreset = {preset}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(ini), "--data", str(corpus_dir),
+                     "--out", str(out), "--epochs", "1", "--seed", "3"]) == 0
+        config = json.loads(capsys.readouterr().out.splitlines()[0])["config"]
+        saved = json.loads((out / "manifest.json").read_text())
+        assert {k: v for k, v in saved.items() if k not in ("run", "environment")} == config
+        rendered = tmp_path / "rendered.ini"
+        rendered.write_text(render(config))
+        expected = load_run_config(ini)
+        expected.data_root = corpus_dir
+        expected.training.epochs, expected.training.seed = 1, 3
+        assert load_run_config(rendered) == expected
+
+    def test_no_manifest_holds_a_key_the_file_may_not_set(self, small_ini, corpus_dir, run_dir,
+                                                          tmp_path, capsys):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(render(RunConfig()))
+        keys = {name: set(parser[name]) for name in parser.sections()}
+        data = ["--config", str(small_ini), "--data", str(corpus_dir)]
+        proposals = str(tmp_path / "proposals.json")
+        for command in (
+                ["synth", "--config", str(small_ini), "--out", str(tmp_path / "corpus")],
+                ["train", *data, "--out", str(tmp_path / "run"), "--epochs", "1"],
+                ["infer", *data, "--checkpoint", str(run_dir / "checkpoint.tapg"),
+                 "--out", proposals],
+                ["eval", "--config", str(small_ini), "--proposals", proposals,
+                 "--annotations", str(corpus_dir / "annotations.json"),
+                 "--out", str(tmp_path / "eval")],
+                ["sweep", *data, "--values", "1", "--epochs", "1",
+                 "--out", str(tmp_path / "sweep.json")]):
+            assert main(command) == 0
+            config = json.loads(capsys.readouterr().out.splitlines()[0])["config"]
+            assert {name: set(values) for name, values in config.items()} == keys, command[0]
+        saved = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert set(saved) == set(keys) | {"run", "environment"}
+        assert {name: set(saved[name]) for name in keys} == keys
+
+
+class TestNegativeSeeds:
+    """A negative seed, from the command line or the file, stops every command
+    that draws from one before it draws anything."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls, default_rng = [], np.random.default_rng
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        return calls
+
+    @pytest.mark.parametrize("command, source", [
+        ("synth", "flag"), ("synth", "file"), ("train", "flag"), ("train", "file"),
+        ("infer", "file"), ("sweep", "file")])
+    def test_rejected_before_any_draw(self, small_ini, corpus_dir, run_dir, tmp_path, capsys,
+                                      command, source, draws):
+        section = "[synthetic]\n" if command == "synth" else "[training]\n"
+        ini = tmp_path / "seed.ini"
+        ini.write_text(SMALL_INI.replace(section, section + "seed = -1\n")
+                       if source == "file" else SMALL_INI)
+        out = tmp_path / "out"
+        args = {
+            "synth": ["--out", str(out)],
+            "train": ["--data", str(corpus_dir), "--out", str(out)],
+            "infer": ["--data", str(corpus_dir), "--checkpoint", str(run_dir / "checkpoint.tapg"),
+                      "--out", str(out)],
+            "sweep": ["--data", str(corpus_dir), "--values", "1", "--out", str(out)],
+        }[command]
+        flag = ["--seed", "-1"] if source == "flag" else []
+        assert main([command, "--config", str(ini), *args, *flag]) == 2
+        assert _config_error(capsys) == "seed must be non-negative, got -1"
+        assert draws == []
+        assert not out.exists()
+
+
 class TestFailureModes:
     def test_bad_config_path(self, capsys):
         code = main(["train", "--config", "/nonexistent.ini",
@@ -426,6 +587,22 @@ class TestCorpusRejections:
         assert code == 2
         assert "nothing to do" in _config_error(capsys)
         assert not (tmp_path / "more" / "checkpoint.tapg").exists()
+
+    @pytest.mark.parametrize("values", ["1,nan", "1,-1", "1,inf"])
+    def test_sweep_checks_every_weight_before_training_any(self, small_ini, corpus_dir,
+                                                          tmp_path, capsys, monkeypatch, values):
+        calls, train = [], cli.train
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", counted)
+        code = main(["sweep", "--config", str(small_ini), "--data", str(corpus_dir),
+                     "--values", values, "--epochs", "1", "--out", str(tmp_path / "sweep.json")])
+        assert code == 2
+        assert calls == []
+        assert "mse_weight" in _config_error(capsys)
 
     @pytest.mark.parametrize("values", ["1,ten", "0x1", "", " , ,"])
     def test_sweep_values_not_a_number_list(self, small_ini, corpus_dir, tmp_path,

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tapgkit.cli import main
 from tapgkit.config import (
     BoundaryNetSettings,
     RunConfig,
@@ -16,7 +17,6 @@ from tapgkit.config import (
     load_run_config,
     parse_threshold_list,
     render,
-    write_default_config,
 )
 from tapgkit.errors import ConfigError, ShapeError
 from tapgkit.inference import (
@@ -130,12 +130,12 @@ class TestDefaults:
 
     def test_written_default_file_round_trips(self, tmp_path):
         path = tmp_path / "run.ini"
-        write_default_config(path)
+        assert main(["config", "--out", str(path)]) == 0
         assert dataclasses.asdict(load_run_config(path)) == dataclasses.asdict(RunConfig())
 
     def test_written_default_file_sets_every_key(self, tmp_path):
         path = tmp_path / "run.ini"
-        write_default_config(path)
+        assert main(["config", "--out", str(path)]) == 0
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(path.read_text())
         run, skips = RunConfig(), {"representation": {"env_dim", "actor_dim", "object_dim"}}
@@ -162,8 +162,8 @@ class TestDefaults:
     def test_failed_write_keeps_previous_file(self, tmp_path, failing_writes):
         path = tmp_path / "run.ini"
         path.write_text("[training]\nepochs = 3\n")
-        with failing_writes(), pytest.raises(OSError):
-            write_default_config(path)
+        with failing_writes():
+            assert main(["config", "--out", str(path)]) == 2
         assert path.read_text() == "[training]\nepochs = 3\n"
         assert list(tmp_path.iterdir()) == [path]
 
@@ -327,6 +327,34 @@ class TestThresholdList:
         with pytest.raises(ConfigError):
             parse_threshold_list("a:b:c", "test")
 
+    def test_range_ends_at_or_before_stop(self):
+        # 0.5 + 3 * 0.3 = 1.4 overshoots the stop, so it is trimmed
+        assert parse_threshold_list("0.5:0.3:1.3", "test") == (0.5, 0.8, 1.1)
+
+    def test_range_of_one_value(self):
+        assert parse_threshold_list("0.5:0.1:0.5", "test") == (0.5,)
+
+    def test_zero_step_rejected(self):
+        with pytest.raises(ConfigError, match="range must ascend"):
+            parse_threshold_list("0.5:0:0.9", "test")
+
+    def test_range_values_rounded_to_ten_places(self):
+        # 0.5 + 3 * 0.05 is 0.6500000000000001 before rounding
+        assert parse_threshold_list("0.5:0.05:0.95", "test") == (
+            0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+        assert parse_threshold_list("0.1:0.12345678901:0.35", "test") == (
+            0.1, 0.223456789, 0.346913578)
+
+    def test_last_value_within_tolerance_of_stop_kept(self):
+        # 0.999999999 + 1e-9 is exactly 1.0 in float64: the edge of the tolerance
+        assert parse_threshold_list("0:0.5:0.999999999", "test") == (0.0, 0.5, 1.0)
+
+    def test_bad_integer_list_rejected(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[evaluation]\nreport_budgets = 1, x\n")
+        with pytest.raises(ConfigError, match=r"\[evaluation\] report_budgets: bad integer list"):
+            load_run_config(path)
+
 
 class TestSuppressionSelection:
     def test_preset_with_keep_override(self, tmp_path):
@@ -349,6 +377,13 @@ overlap_offset = 0.2
         assert isinstance(cfg.suppression, SoftSuppressionConfig)
         assert cfg.suppression.sigma == 0.6
         assert cfg.suppression.overlap_offset == 0.2
+
+    @pytest.mark.parametrize("mode, preset", [("soft", "anet-tad-snms"),
+                                              ("hard", "thumos-tad-nms")])
+    def test_bare_mode_starts_from_its_preset(self, tmp_path, mode, preset):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[inference]\nmode = {mode}\n")
+        assert load_run_config(path).suppression == suppression_preset(preset)
 
     def test_explicit_hard_mode(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -401,3 +436,26 @@ class TestDescribe:
                                 "boundary_net", "training", "inference",
                                 "evaluation"}
         assert "epochs" in text and "sigma" in text
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_holds_exactly_the_keys_of_the_file(self, preset):
+        cfg = RunConfig(suppression=suppression_preset(preset))
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(render(cfg))
+        payload = describe(cfg)
+        assert {name: list(values) for name, values in payload.items()} == {
+            name: list(parser[name]) for name in parser.sections()}
+        assert payload["inference"]["mode"] == ("soft" if preset.endswith("snms") else "hard")
+        assert "env_dim" not in payload["representation"]
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_description_read_back_from_json_renders_the_file(self, tmp_path, preset):
+        cfg = RunConfig(suppression=suppression_preset(preset))
+        cfg.boundary.max_duration = 12
+        cfg.representation.feature_dim = 24
+        cfg.evaluation.tious = (0.3, 0.55, 0.8)
+        described = json.loads(json.dumps(describe(cfg)))
+        assert render(described) == render(cfg)
+        path = tmp_path / "run.ini"
+        path.write_text(render(described))
+        assert load_run_config(path) == cfg

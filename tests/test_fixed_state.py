@@ -47,7 +47,7 @@ def _default_model(num_videos=1, **representation):
     run = RunConfig()
     run.representation = dataclasses.replace(run.representation, **representation)
     corpus = generate_corpus(dataclasses.replace(run.synthetic, num_videos=num_videos))
-    return corpus, build_model(run, corpus.features, 0)
+    return corpus, build_model(run, corpus.features)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -311,6 +311,13 @@ class TestSuppressionBounds:
             HardSuppressionConfig(threshold=0.0).validate()
         HardSuppressionConfig(threshold=1.0).validate()
 
+    @pytest.mark.parametrize("base", [SoftSuppressionConfig(sigma=0.4),
+                                      HardSuppressionConfig(threshold=0.45)])
+    def test_max_keep_must_be_at_least_one(self, base):
+        with pytest.raises(ConfigError, match="max_keep must be at least 1"):
+            dataclasses.replace(base, max_keep=0).validate()
+        dataclasses.replace(base, max_keep=1).validate()
+
 
 class TestPresets:
     def test_named_parameter_sets(self):
@@ -438,7 +445,7 @@ def _decode_flat_rows():
     syn = dataclasses.replace(run.synthetic, num_videos=3, min_action_len=2,
                               max_action_len=8)
     corpus = generate_corpus(syn)
-    model = build_model(run, corpus.features, 0)
+    model = build_model(run, corpus.features)
     seconds = syn.snippet_stride / syn.fps
     return [pair_candidates(model(seq)) * [seconds, seconds, 1.0]
             for seq in corpus.features.values()]
@@ -544,7 +551,7 @@ class TestDecodeCorpus:
     def _corpus(self):
         run = RunConfig()
         corpus = generate_corpus(dataclasses.replace(run.synthetic, num_videos=3))
-        return corpus, build_model(run, corpus.features, 0), run.suppression
+        return corpus, build_model(run, corpus.features), run.suppression
 
     def test_decodes_every_video_as_generate_proposals_does(self):
         corpus, model, cfg = self._corpus()

@@ -15,7 +15,7 @@ def _configs(num_snippets=8):
     run = RunConfig()
     syn = dataclasses.replace(run.synthetic, num_videos=1, num_snippets=num_snippets,
                               max_action_len=4)
-    model = build_model(run, generate_corpus(syn).features, 0)
+    model = build_model(run, generate_corpus(syn).features)
     return syn, model.representation.cfg, model.boundary_net.cfg
 
 

@@ -53,6 +53,19 @@ class TestShapes:
         assert out.data.shape == (10,)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["env_dim", "actor_dim", "object_dim", "feature_dim",
+                                       "attention_hidden"])
+    def test_widths_must_be_positive(self, field):
+        with pytest.raises(ConfigError, match="widths must be positive"):
+            RepresentationConfig(**{field: 0}).validate()
+        RepresentationConfig(**{field: 1}).validate()
+
+    def test_unknown_attention_mode_rejected(self):
+        with pytest.raises(ConfigError, match="attention_mode must be one of"):
+            RepresentationConfig(attention_mode="sparse").validate()
+
+
 class TestAblations:
     def test_all_streams_disabled_rejected(self):
         with pytest.raises(ConfigError):

@@ -137,3 +137,35 @@ class TestConfigValidation:
             SyntheticConfig(num_classes=0).validate()
         with pytest.raises(ConfigError):
             SyntheticConfig(num_classes=99).validate()
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(num_videos=0), "num_videos, num_snippets, snippet_stride must be positive"),
+        (dict(num_snippets=0), "num_videos, num_snippets, snippet_stride must be positive"),
+        (dict(snippet_stride=0), "num_videos, num_snippets, snippet_stride must be positive"),
+        (dict(fps=0.0), "fps must be positive"),
+        (dict(min_action_len=0), "need 1 <= min_action_len"),
+        (dict(min_action_len=5, max_action_len=4), "need 1 <= min_action_len"),
+        (dict(num_snippets=9, max_action_len=8), "leave a background snippet"),
+        (dict(num_snippets=1, min_action_len=1, max_action_len=1), "leave a background snippet"),
+        (dict(max_actions_per_video=0), "max_actions_per_video must be at least 1"),
+        (dict(num_classes=0), "num_classes must be in"),
+        (dict(num_classes=9), "num_classes must be in"),
+        (dict(max_actors=0), "max_actors and objects_per_snippet"),
+        (dict(objects_per_snippet=0), "max_actors and objects_per_snippet"),
+        (dict(signal=0.0), "signal must be positive"),
+        (dict(noise=-0.25), "noise non-negative"),
+        (dict(seed=-1), "seed must be non-negative, got -1"),
+    ])
+    def test_each_rule_names_itself(self, change, message):
+        with pytest.raises(ConfigError, match=message):
+            SyntheticConfig(**change).validate()
+
+    @pytest.mark.parametrize("change", [
+        dict(num_videos=1), dict(snippet_stride=1), dict(fps=0.5),
+        dict(min_action_len=1), dict(min_action_len=8, max_action_len=8),
+        dict(num_snippets=10, max_action_len=8), dict(max_actions_per_video=1),
+        dict(num_classes=1), dict(num_classes=8), dict(max_actors=1),
+        dict(objects_per_snippet=1), dict(signal=0.5), dict(noise=0.0), dict(seed=0),
+    ])
+    def test_each_bound_itself_accepted(self, change):
+        SyntheticConfig(**change).validate()

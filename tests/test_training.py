@@ -300,8 +300,9 @@ def _tiny_setup(num_videos=3, seed=0):
                           env_dim=8, actor_dim=8, object_dim=8,
                           max_action_len=6, seed=seed)
     corpus = generate_corpus(syn)
-    run = RunConfig(representation=RepresentationConfig(feature_dim=12, attention_hidden=16))
-    return corpus, build_model(run, corpus.features, seed)
+    run = RunConfig(representation=RepresentationConfig(feature_dim=12, attention_hidden=16),
+                    training=TrainConfig(seed=seed))
+    return corpus, build_model(run, corpus.features)
 
 
 class TestEpochLoop:
@@ -355,7 +356,7 @@ class TestEpochLoop:
         assert annotation.frame_count == 512
         annotations = {**corpus.annotations,
                        vid: dataclasses.replace(annotation, frame_count=640)}
-        model = build_model(RunConfig(), corpus.features, 0)
+        model = build_model(RunConfig(), corpus.features)
         with pytest.raises(ConfigError, match=vid):
             train(model, corpus.features, annotations, TrainConfig(epochs=1))
 
@@ -387,6 +388,22 @@ class TestTrainConfig:
     def test_zero_learning_rate_rejected(self):
         with pytest.raises(ConfigError, match="learning_rate"):
             TrainConfig(learning_rate=0.0).validate()
+
+    def test_one_epoch_is_the_least(self):
+        with pytest.raises(ConfigError, match="epochs must be at least 1"):
+            TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=1).validate()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1).validate()
+        TrainConfig(seed=0).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["learning_rate", "mse_weight"])
+    def test_non_finite_rate_or_weight_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
 
     def test_zero_mse_weight_accepted(self):
         # a weight of 0 turns the grid MSE off, a valid sweep value
@@ -447,7 +464,7 @@ def _desk_step():
     corpus = generate_corpus(syn)
     seq = next(iter(corpus.features.values()))
     annotation = corpus.annotations[seq.video_id]
-    model = build_model(run, corpus.features, 0)
+    model = build_model(run, corpus.features)
     net = model.boundary_net.cfg
     labels = video_labels(annotation, net.num_snippets, net.resolved_max_duration())
     assert seq.num_snippets == 32

@@ -36,6 +36,7 @@ TIMEOUT_S = 600     # a mutant that makes the tests hang counts as killed
 
 # module -> the test files that own it
 TESTS = {
+    "src/tapgkit/config.py": ("tests/test_config.py",),
     "src/tapgkit/evaluation.py": ("tests/test_evaluation.py",),
     "src/tapgkit/training.py": ("tests/test_training.py",),
     "src/tapgkit/inference.py": ("tests/test_inference.py",),
