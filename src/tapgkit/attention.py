@@ -44,6 +44,22 @@ context)``, is the T = 1 case of the same code.
 The returned ``SelectionInfo`` covers the whole call: scores and thresholds
 per packed row, the kept packed-row indices, the per-snippet row counts, and
 ``used_default``, which is set only when no snippet of the call had a row.
+
+A call is two steps, ``fuse(select(candidates, context, counts))``:
+
+- ``select`` checks the shapes and lays the rows out on the grid. With fixed
+  scorers (``adaptive``, ``hard``) it also scores them and makes the whole
+  decision: the keep mask and the gathered kept rows (``hard``: the picked
+  rows), the pooling weights, the encoder mask, the default-slot table and
+  the ``SelectionInfo``. All of it is a function of the inputs and the fixed
+  state alone.
+- ``fuse`` runs only what can train: the encoder and the pooled product in
+  ``adaptive`` mode, the scoring MLPs and the weighted sum in ``soft`` mode,
+  and the learned default in every mode.
+
+So a caller with constant inputs may select once and fuse at every training
+step, for as long as nothing replaces the fixed state; an optimizer steps
+only parameters (see ``training.train``).
 """
 
 from __future__ import annotations
@@ -72,6 +88,33 @@ class SelectionInfo:
     selected: np.ndarray      # (K,) kept packed-row indices, ascending
     used_default: bool        # True when no snippet had a row (R == 0)
     counts: np.ndarray        # (T,) rows per snippet; 0 means the default was used
+
+
+@dataclass
+class Selection:
+    """One call's rows laid out by ``select`` for ``fuse``.
+
+    Every field is a function of the call's inputs and the module's fixed
+    state alone. With fixed scorers it holds the decision itself, so one
+    selection can be fused at every training step for as long as the fixed
+    state stays; ``soft`` mode scores at every ``fuse``, since its scorers
+    train. ``owner`` to ``pool`` are set only when some snippet has a row.
+    """
+    candidates: Tensor             # (R, d) the packed rows
+    counts: np.ndarray             # (T,) rows per snippet
+    slot: np.ndarray | None        # (T,) each snippet's row of the fused table, the learned
+                                   # default one past the last; None if no snippet is empty
+    single: bool                   # one set: ``fuse`` returns (d,), not (1, d)
+    owner: np.ndarray | None = None       # (R,) each row's snippet among the non-empty T'
+    grid: np.ndarray | None = None        # (T', M_max) packed-row indices, padded with row 0
+    real: np.ndarray | None = None        # (T', M_max) True on real entries
+    contexts: Tensor | None = None        # (T', d_c) the non-empty snippets' contexts
+    threshold: np.ndarray | None = None   # (T',) each non-empty snippet's keep threshold 1/M
+    rows: Tensor | None = None     # soft: every row on the grid (T', M_max, d); adaptive:
+                                   # the kept rows (T', K_max, d); hard: the picked rows (T', d)
+    mask: np.ndarray | None = None        # adaptive: (T', K_max) True on kept rows
+    pool: Tensor | None = None            # adaptive: (T', 1, K_max) mean-pooling weights
+    info: SelectionInfo | None = None     # set here unless soft mode scores at ``fuse``
 
 
 def _pad(rows: np.ndarray, owner: np.ndarray, sets: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,40 +160,13 @@ class AdaptiveAttention(Module):
         bias = T.constant(np.where(real, 0.0, MASKED_LOGIT))
         return T.softmax(T.add(padded, bias), axis=1)
 
-    def _fuse(self, candidates: Tensor, scores: Tensor, grid: np.ndarray,
-              real: np.ndarray, threshold: np.ndarray) -> tuple[Tensor, np.ndarray]:
-        """One fused row per non-empty snippet, and the kept packed rows."""
-        sets, width = grid.shape
-        dim = self._candidate_dim
-        best = np.argmax(scores.data, axis=1)
-        if self.mode == "soft":
-            rows = T.reshape(T.gather_rows(candidates, grid.ravel()), (sets, width, dim))
-            fused = T.matmul(T.reshape(scores, (sets, 1, width)), rows)
-            return T.reshape(fused, (sets, dim)), grid[real]
-        if self.mode == "hard":
-            picked = grid[np.arange(sets), best]
-            return T.gather_rows(candidates, picked), picked
+    def select(self, candidates: Tensor, context: Tensor, counts=None) -> Selection:
+        """Check and lay out one candidate set, or the packed sets of T snippets.
 
-        keep = real & (scores.data >= threshold[:, None])
-        # mathematically every snippet keeps a row (softmax max >= 1/M), but
-        # guard the invariant against float rounding on near-uniform scores
-        keep[np.arange(sets), best] |= ~keep.any(axis=1)
-        kept_sets, _ = np.nonzero(keep)
-        kept, kept_real = _pad(grid[keep], kept_sets, sets)
-        rows = T.reshape(T.gather_rows(candidates, kept.ravel()), kept.shape + (dim,))
-        encoded = self.encoder(rows, kept_real)
-        pool = kept_real / kept_real.sum(axis=1, keepdims=True)
-        fused = T.matmul(T.constant(pool[:, None, :]), encoded)
-        return T.reshape(fused, (sets, dim)), grid[keep]
-
-    def __call__(self, candidates: Tensor, context: Tensor,
-                 counts=None) -> tuple[Tensor, SelectionInfo]:
-        """Fuse one candidate set, or the packed sets of T snippets.
-
-        Without ``counts``: ``candidates`` is (M, d), ``context`` is (d_c,)
-        and the result is (d,). With ``counts`` (length T, summing to R):
-        ``candidates`` is (R, d), ``context`` is (T, d_c) and the result is
-        (T, d), one fused row per snippet.
+        Without ``counts``: ``candidates`` is (M, d) and ``context`` is
+        (d_c,). With ``counts`` (length T, summing to R): ``candidates`` is
+        (R, d) and ``context`` is (T, d_c). With fixed scorers (``adaptive``,
+        ``hard``) the rows are also scored and the kept rows gathered here.
         """
         single = counts is None
         rows_shape = candidates.data.shape
@@ -170,23 +186,85 @@ class AdaptiveAttention(Module):
                              f"got {context.data.shape}")
 
         live = np.flatnonzero(counts)
-        owner = np.repeat(np.arange(live.size), counts[live])
-        dtype = candidates.data.dtype
-        if live.size:
-            grid, real = _pad(np.arange(rows_shape[0]), owner, live.size)
-            scores = self._scores(candidates, T.gather_rows(context, live), owner, grid, real)
-            threshold = (1.0 / counts[live]).astype(dtype)
-            fused, selected = self._fuse(candidates, scores, grid, real, threshold)
-            row_scores, row_threshold = scores.data[real], threshold[owner]
-        else:
-            selected = np.zeros(0, dtype=np.int64)
-            row_scores = row_threshold = np.zeros(0, dtype=dtype)
+        slot = None
         if live.size < counts.size:
             # snippets without rows take the learned default, one table row past the fused ones
-            default = T.reshape(self.default_output, (1, -1))
-            table = T.concat([fused, default], axis=0) if live.size else default
             slot = np.full(counts.size, live.size)
             slot[live] = np.arange(live.size)
-            fused = T.gather_rows(table, slot)
-        info = SelectionInfo(row_scores, row_threshold, selected, live.size == 0, counts)
-        return (T.reshape(fused, (-1,)) if single else fused), info
+        selection = Selection(candidates, counts, slot, single)
+        if not live.size:
+            empty = np.zeros(0, dtype=candidates.data.dtype)
+            selection.info = SelectionInfo(empty, empty, np.zeros(0, dtype=np.int64), True,
+                                           counts)
+            return selection
+        selection.owner = owner = np.repeat(np.arange(live.size), counts[live])
+        selection.grid, selection.real = grid, real = _pad(
+            np.arange(rows_shape[0]), owner, live.size)
+        selection.contexts = T.gather_rows(context, live)
+        selection.threshold = threshold = (1.0 / counts[live]).astype(candidates.data.dtype)
+        sets, width = grid.shape
+        dim = self._candidate_dim
+        if self.mode == "soft":
+            selection.rows = T.reshape(T.gather_rows(candidates, grid.ravel()),
+                                       (sets, width, dim))
+            return selection
+
+        scores = self._scores(candidates, selection.contexts, owner, grid, real).data
+        best = np.argmax(scores, axis=1)
+        if self.mode == "hard":
+            picked = grid[np.arange(sets), best]
+            selection.rows = T.gather_rows(candidates, picked)
+            selection.info = self._info(selection, scores, picked)
+            return selection
+        keep = real & (scores >= threshold[:, None])
+        # mathematically every snippet keeps a row (softmax max >= 1/M), but
+        # guard the invariant against float rounding on near-uniform scores
+        keep[np.arange(sets), best] |= ~keep.any(axis=1)
+        kept_sets, _ = np.nonzero(keep)
+        kept, selection.mask = _pad(grid[keep], kept_sets, sets)
+        selection.rows = T.reshape(T.gather_rows(candidates, kept.ravel()),
+                                   kept.shape + (dim,))
+        pool = selection.mask / selection.mask.sum(axis=1, keepdims=True)
+        selection.pool = T.constant(pool[:, None, :])
+        selection.info = self._info(selection, scores, grid[keep])
+        return selection
+
+    @staticmethod
+    def _info(selection: Selection, scores: np.ndarray, selected: np.ndarray) -> SelectionInfo:
+        return SelectionInfo(scores[selection.real], selection.threshold[selection.owner],
+                             selected, False, selection.counts)
+
+    def fuse(self, selection: Selection) -> tuple[Tensor, SelectionInfo]:
+        """The fused rows of a ``select``ed call, and what was selected.
+
+        Runs only what can train: the fusion encoder and the pooling in
+        ``adaptive`` mode, the scoring and the score-weighted sum in ``soft``
+        mode, and in every mode the learned default of the empty snippets.
+        The result is (d,) for one set, else (T, d), one row per snippet.
+        """
+        s = selection
+        info, fused = s.info, None
+        if s.rows is not None:
+            sets = s.grid.shape[0]
+            if self.mode == "soft":
+                scores = self._scores(s.candidates, s.contexts, s.owner, s.grid, s.real)
+                width = s.grid.shape[1]
+                fused = T.matmul(T.reshape(scores, (sets, 1, width)), s.rows)
+                fused = T.reshape(fused, (sets, self._candidate_dim))
+                info = self._info(s, scores.data, s.grid[s.real])
+            elif self.mode == "hard":
+                fused = s.rows
+            else:
+                encoded = self.encoder(s.rows, s.mask)
+                fused = T.reshape(T.matmul(s.pool, encoded), (sets, self._candidate_dim))
+        if s.slot is not None:
+            default = T.reshape(self.default_output, (1, -1))
+            table = T.concat([fused, default], axis=0) if fused is not None else default
+            fused = T.gather_rows(table, s.slot)
+        return (T.reshape(fused, (-1,)) if s.single else fused), info
+
+    def __call__(self, candidates: Tensor, context: Tensor,
+                 counts=None) -> tuple[Tensor, SelectionInfo]:
+        """Fuse one candidate set, or the packed sets of T snippets:
+        ``fuse(select(candidates, context, counts))``."""
+        return self.fuse(self.select(candidates, context, counts))

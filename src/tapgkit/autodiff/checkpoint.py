@@ -30,7 +30,8 @@ MAGIC = b"TAPGKIT1"
 def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
     chunks = [MAGIC, struct.pack("<I", len(state))]
     for name, arr in state.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
+        # np.asarray keeps a 0-d entry 0-d; np.ascontiguousarray would make it (1,)
+        arr = np.asarray(arr, dtype="<f8")
         raw = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(raw)))
         chunks.append(raw)

@@ -166,6 +166,11 @@ def suppress(rows: np.ndarray,
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     live = rows[:, 2].copy()        # -inf once a row is kept or dropped
     soft = isinstance(cfg, SoftSuppressionConfig)
+    # a row that does not overlap the pick decays by exp(-0 / sigma) = 1.0
+    # exactly, so skip it whenever the least threshold a row can face (the
+    # offset, or -inf under a negative distance weight) lets IoU 0 be a hit
+    skip_disjoint = soft and (
+        cfg.overlap_offset if cfg.distance_weight >= 0 else -math.inf) <= 0
     # the pick-independent terms of interval_iou and of the centre gap,
     # combined with each pick's in the same order as those expressions
     starts, ends = rows[:, 0].copy(), rows[:, 1].copy()
@@ -215,6 +220,8 @@ def suppress(rows: np.ndarray,
         # into nan, which argmax picks first
         np.greater_equal(iou, threshold, out=mask)
         mask &= np.greater(live, -math.inf, out=alive)
+        if skip_disjoint:
+            mask &= np.greater(iou, 0.0, out=alive)
         hit = mask.nonzero()[0]
         # math.exp, not np.exp: the two differ in the last bit on some inputs
         live[hit] *= list(map(math.exp, (-iou[hit] / cfg.sigma).tolist()))

@@ -1,4 +1,10 @@
-"""End-to-end model: snippet fusion feeding the boundary/proposal network."""
+"""End-to-end model: snippet fusion feeding the boundary/proposal network.
+
+``model(seq)`` checks the video against the model and runs both halves.
+``forward(prepare(seq))`` is the same pass split in two: ``prepare`` does the
+checks and every part that depends only on the video and the fixed state
+(see ``representation``), ``forward`` the rest.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from tapgkit.autodiff.layers import Module
 from tapgkit.boundary_net import BoundaryNet, BoundaryNetConfig, BoundaryNetOutput
 from tapgkit.data.features import VideoFeatureSequence
 from tapgkit.errors import ConfigError, ShapeError
-from tapgkit.representation import RepresentationConfig, SnippetRepresentation
+from tapgkit.representation import PreparedVideo, RepresentationConfig, SnippetRepresentation
 
 
 class ProposalModel(Module):
@@ -22,7 +28,7 @@ class ProposalModel(Module):
         self.representation = SnippetRepresentation(rng, rep_cfg)
         self.boundary_net = BoundaryNet(rng, net_cfg)
 
-    def __call__(self, seq: VideoFeatureSequence) -> BoundaryNetOutput:
+    def _check(self, seq: VideoFeatureSequence) -> None:
         expected = self.boundary_net.cfg.num_snippets
         if seq.num_snippets != expected:
             raise ShapeError(
@@ -36,4 +42,16 @@ class ProposalModel(Module):
             if read and width != got:
                 raise ShapeError(f"{seq.video_id}: model reads {stream} width {width}, "
                                  f"the video has {got}")
+
+    def __call__(self, seq: VideoFeatureSequence) -> BoundaryNetOutput:
+        self._check(seq)
         return self.boundary_net(self.representation.video(seq))
+
+    def prepare(self, seq: VideoFeatureSequence) -> PreparedVideo:
+        """What ``forward`` needs of ``seq``, made once: valid while the fixed state stays."""
+        self._check(seq)
+        return self.representation.prepare(seq)
+
+    def forward(self, prepared: PreparedVideo) -> BoundaryNetOutput:
+        """``model(seq)`` from ``prepare(seq)``, bit for bit."""
+        return self.boundary_net(self.representation.forward(prepared))

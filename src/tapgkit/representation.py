@@ -16,6 +16,14 @@ interaction encoder, and the mean over streams gives the (T, feature_dim)
 result. A single snippet (``snippet_with_info``) is the T = 1 case; its
 per-stream ``SelectionInfo`` then describes that snippet alone.
 
+``video(seq)`` is two steps that a caller can also take apart:
+``prepare(seq)`` stacks the environment rows and makes each stream's
+``AdaptiveAttention.select``, all from the video and the fixed state; and
+``forward(prepared)`` fuses the selections, then runs the projections, the
+interaction encoder and the mean. ``forward(prepare(seq))`` equals
+``video(seq)`` bit for bit, so training prepares each video once per call
+and runs only ``forward`` at every step (see ``training.train``).
+
 Streams can be disabled independently for ablations. Adaptive and hard
 attention need the environment vector as scoring context, so disabling the
 environment stream forces the soft attention baseline (scored against a zero
@@ -37,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tapgkit.attention import MODES, AdaptiveAttention, SelectionInfo
+from tapgkit.attention import MODES, AdaptiveAttention, Selection, SelectionInfo
 from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.layers import Linear, Module, SelfAttentionEncoder
 from tapgkit.autodiff.tensor import Tensor
@@ -70,6 +78,13 @@ class RepresentationConfig:
         return self.attention_mode if self.use_environment else "soft"
 
 
+@dataclass
+class PreparedVideo:
+    """A video's constant inputs with each attention stream's rows selected."""
+    environment: Tensor                 # (T, env_dim)
+    selections: dict[str, Selection]    # one per enabled attention stream
+
+
 class SnippetRepresentation(Module):
     def __init__(self, rng: np.random.Generator, cfg: RepresentationConfig):
         cfg.validate()
@@ -96,35 +111,58 @@ class SnippetRepresentation(Module):
             self.interaction.query.freeze()
             self.interaction.key.freeze()
 
-    def _encode(self, environment: np.ndarray, actors: list[np.ndarray],
-                objects: list[np.ndarray]) -> tuple[Tensor, dict[str, SelectionInfo]]:
-        """(T, feature_dim) representations of T snippets given as stream arrays."""
-        cfg = self.cfg
+    def _attentions(self) -> list[tuple[str, AdaptiveAttention, Linear]]:
+        """Each enabled attention stream: its name, attention and projection."""
+        return [(name, attention, proj) for name, attention, proj in (
+            ("actors", self.actor_attention, self.actor_proj),
+            ("objects", self.object_attention, self.object_proj)) if attention is not None]
+
+    def _pack(self, snippets) -> tuple[Tensor, dict[str, tuple[Tensor, Tensor, list[int]]]]:
+        """The (T, env_dim) environment rows, and each attention stream's
+        arguments: its rows packed as one (R, d) constant, the scoring
+        context and the per-snippet row counts."""
+        environment = np.stack([b.environment for b in snippets])
         env = T.constant(environment)
-        context = env if cfg.use_environment else T.constant(np.zeros_like(environment))
+        context = env if self.cfg.use_environment else T.constant(np.zeros_like(environment))
+        sets = {"actors": [b.actors for b in snippets], "objects": [b.objects for b in snippets]}
+        return env, {name: (T.constant(np.concatenate(sets[name], axis=0)), context,
+                            [len(s) for s in sets[name]]) for name, _, _ in self._attentions()}
+
+    def _encode(self, env: Tensor, fuse) -> tuple[Tensor, dict[str, SelectionInfo]]:
+        """(T, feature_dim) representations of T snippets; ``fuse(name,
+        attention)`` gives a stream's (T, d) fused rows and its selection."""
         streams: list[Tensor] = []
         info: dict[str, SelectionInfo] = {}
-        for name, attention, proj, sets in (
-                ("actors", self.actor_attention, self.actor_proj, actors),
-                ("objects", self.object_attention, self.object_proj, objects)):
-            if attention is not None:
-                rows = T.constant(np.concatenate(sets, axis=0))
-                fused, info[name] = attention(rows, context, [len(s) for s in sets])
-                streams.append(proj(fused))
+        for name, attention, proj in self._attentions():
+            fused, info[name] = fuse(name, attention)
+            streams.append(proj(fused))
         if self.env_proj is not None:
             streams.append(self.env_proj(env))
         stacked = T.stack(streams, axis=1)                        # (T, streams, d_f)
         return T.mean(self.interaction(stacked), axis=1), info
 
+    def _call(self, snippets) -> tuple[Tensor, dict[str, SelectionInfo]]:
+        """``_encode`` with each stream selected and fused by its attention's call."""
+        env, args = self._pack(snippets)
+        return self._encode(env, lambda name, attention: attention(*args[name]))
+
     def snippet_with_info(self, bundle: SnippetBundle) -> tuple[Tensor, dict[str, SelectionInfo]]:
         """One snippet's (feature_dim,) vector and its per-stream selections."""
-        fused, info = self._encode(bundle.environment[None, :], [bundle.actors],
-                                   [bundle.objects])
+        fused, info = self._call([bundle])
         return T.reshape(fused, (-1,)), info
 
     def video(self, seq: VideoFeatureSequence) -> Tensor:
         """Representation matrix (feature_dim, T), one column per snippet."""
-        snippets = seq.snippets
-        fused, _ = self._encode(np.stack([b.environment for b in snippets]),
-                                [b.actors for b in snippets], [b.objects for b in snippets])
+        return T.transpose(self._call(seq.snippets)[0])
+
+    def prepare(self, seq: VideoFeatureSequence) -> PreparedVideo:
+        """The video's environment rows and each attention stream's selection."""
+        env, args = self._pack(seq.snippets)
+        return PreparedVideo(env, {name: attention.select(*args[name])
+                                   for name, attention, _ in self._attentions()})
+
+    def forward(self, prepared: PreparedVideo) -> Tensor:
+        """``video`` from a prepared video: the same matrix, running only what trains."""
+        fused, _ = self._encode(prepared.environment, lambda name, attention: attention.fuse(
+            prepared.selections[name]))
         return T.transpose(fused)

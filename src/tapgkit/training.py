@@ -249,6 +249,13 @@ def train(model: ProposalModel, features: dict[str, VideoFeatureSequence],
     leave a loss term one-sided is warned about once, naming the terms; the
     terms are dropped from its loss. Aborts on a non-finite loss.
     ``on_epoch(model, report)`` fires after every epoch.
+
+    Each video is prepared once per call, beside its labels
+    (``model.prepare``), and every step runs ``model.forward`` on it: the
+    same pass as ``model(seq)``, bit for bit, without redoing the attention
+    selection that depends only on the video and the fixed state. That rests
+    on one invariant: nothing replaces fixed state inside ``train``. The
+    optimizer steps only parameters, and ``on_epoch`` must not load state.
     """
     cfg.validate()
     check_corpus(annotations, features)
@@ -258,6 +265,7 @@ def train(model: ProposalModel, features: dict[str, VideoFeatureSequence],
     max_duration = net_cfg.resolved_max_duration()
     labels = {vid: video_labels(annotations[vid], net_cfg.num_snippets, max_duration)
               for vid in ids}
+    prepared = {vid: model.prepare(features[vid]) for vid in ids}
     valid = valid_cells(net_cfg.num_snippets, max_duration)
     for vid in ids:
         if terms := _one_sided_terms(labels[vid], valid):
@@ -273,7 +281,7 @@ def train(model: ProposalModel, features: dict[str, VideoFeatureSequence],
         for i in order:
             vid = ids[int(i)]
             with Tape() as tape:
-                output = model(features[vid])
+                output = model.forward(prepared[vid])
                 loss, report = total_loss(output, labels[vid], cfg.mse_weight)
                 if not np.isfinite(report.total):
                     raise DegenerateInputError(

@@ -74,11 +74,29 @@ class TestSelectionRule:
         assert module.default_output.grad is not None
 
     def test_shape_validation(self):
-        module = _module(4)
-        with pytest.raises(ShapeError):
-            module(T.constant(np.zeros((3, 5))), T.constant(np.zeros(5)))
-        with pytest.raises(ShapeError):
-            module(T.constant(np.zeros((3, 6))), T.constant(np.zeros(4)))
+        for mode in MODES:
+            module = _module(4, mode=mode)
+            for rows in (np.zeros((3, 5)), np.zeros(6), np.zeros((3, 6, 1))):
+                with pytest.raises(ShapeError, match=r"candidates must be \(M, 6\), got"):
+                    module(T.constant(rows), T.constant(np.zeros(5)))
+            with pytest.raises(ShapeError, match=r"context must be \(5,\), got \(4,\)"):
+                module(T.constant(np.zeros((3, 6))), T.constant(np.zeros(4)))
+
+    def test_default_scorer_width_is_64(self):
+        module = AdaptiveAttention(np.random.default_rng(0), 6, 5)
+        widths = {name: t.shape for name, t in module.named_state() if name.endswith("bias")}
+        assert widths["candidate_embed.layers.0.bias"] == (64,)
+        assert widths["context_embed.layers.1.bias"] == (64,)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_equal_rows_score_exactly_the_threshold_and_are_all_kept(self, m):
+        rng = np.random.default_rng(m)
+        module = _module(5)
+        rows = np.tile(rng.standard_normal(6), (m, 1))
+        _, info = module(T.constant(rows), T.constant(rng.standard_normal(5)))
+        # equal logits give scores of exactly 1/M when M is a power of two
+        np.testing.assert_array_equal(info.scores, info.threshold)
+        np.testing.assert_array_equal(info.selected, np.arange(m))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -259,7 +277,103 @@ class TestPackedSets:
 
     def test_counts_must_cover_the_rows(self):
         module = _module(5)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="sum to the 4 rows"):
             module(T.constant(np.zeros((4, 6))), T.constant(np.zeros((2, 5))), [1, 2])
+        with pytest.raises(ShapeError, match="non-negative"):
+            module(T.constant(np.zeros((1, 6))), T.constant(np.zeros((2, 5))), [2, -1])
         with pytest.raises(ShapeError):
             module(T.constant(np.zeros((3, 6))), T.constant(np.zeros((3, 5))), [1, 2])
+
+
+def _assert_same_info(got, want):
+    for field in ("scores", "threshold", "selected", "counts"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        np.testing.assert_array_equal(a, b, err_msg=field)
+    assert got.used_default is want.used_default
+
+
+class TestSelectThenFuse:
+    """``__call__`` is ``fuse(select(...))``; a fixed-scorer selection can be fused again."""
+
+    CALLS = {
+        "packed": ([3, 0, 1, 5, 2, 0], True),
+        "packed-full": ([2, 4, 1], True),
+        "all-empty": ([0, 0], True),
+        "single": ([4], False),
+        "single-empty": ([0], False),
+    }
+
+    def _call_args(self, rng, counts, packed):
+        rows = T.constant(rng.standard_normal((sum(counts), 6)))
+        if packed:
+            return rows, T.constant(rng.standard_normal((len(counts), 5))), counts
+        return rows, T.constant(rng.standard_normal(5)), None
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_call_equals_fuse_of_select(self, mode, call):
+        rng = np.random.default_rng(700)
+        module = _module(6, mode=mode)
+        module.default_output.data = rng.standard_normal(6).astype(np.float32)
+        args = self._call_args(rng, *self.CALLS[call])
+        fused, info = module(*args)
+        got, got_info = module.fuse(module.select(*args))
+        assert got.data.dtype == fused.data.dtype and got.data.shape == fused.data.shape
+        np.testing.assert_array_equal(got.data, fused.data)
+        _assert_same_info(got_info, info)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_selection_fuses_alike_twice_and_tracks_the_trained_state(self, mode):
+        rng = np.random.default_rng(701)
+        module = _module(7, mode=mode)
+        args = self._call_args(rng, [3, 0, 1, 5], True)
+        selection = module.select(*args)
+        first, info = module.fuse(selection)
+        again, again_info = module.fuse(selection)
+        np.testing.assert_array_equal(again.data, first.data)
+        _assert_same_info(again_info, info)
+        # a parameter that moves after the selection moves the fused rows
+        for _, p in module.named_parameters():
+            p.data = p.data + np.float32(0.25)
+        moved, _ = module.fuse(selection)
+        np.testing.assert_array_equal(moved.data, module(*args)[0].data)
+        assert not np.array_equal(moved.data, first.data)
+
+    @pytest.mark.parametrize("mode", ["adaptive", "hard"])
+    def test_fixed_scorers_decide_in_select(self, mode):
+        rng = np.random.default_rng(702)
+        module = _module(8, mode=mode)
+        args = self._call_args(rng, [3, 0, 1, 5], True)
+        selection = module.select(*args)
+        want, want_info = module(*args)
+        _assert_same_info(selection.info, want_info)
+        # fuse reads no fixed state: zeroing the scorer leaves what this selection fuses to
+        fixed = [t for _, t in module.named_state() if not t.requires_grad]
+        for t in fixed:
+            t.data = np.zeros_like(t.data)
+        with Tape() as tape:
+            fused, _ = module.fuse(selection)
+        assert not {id(t) for rec in tape._records for t in rec.inputs} & set(map(id, fixed))
+        np.testing.assert_array_equal(fused.data, want.data)
+
+    def test_soft_mode_scores_at_fuse(self):
+        rng = np.random.default_rng(703)
+        module = _module(9, mode="soft")
+        args = self._call_args(rng, [3, 0, 1, 5], True)
+        selection = module.select(*args)
+        assert selection.info is None
+        _, before = module.fuse(selection)
+        for _, p in module.named_parameters():
+            if p.ndim == 2:
+                p.data = p.data * np.float32(3.0)
+        _, after = module.fuse(selection)
+        assert not np.array_equal(after.scores, before.scores)
+        _assert_same_info(after, module(*args)[1])
+
+    def test_select_checks_the_shapes(self):
+        module = _module(4)
+        with pytest.raises(ShapeError):
+            module.select(T.constant(np.zeros((3, 5))), T.constant(np.zeros(5)))
+        with pytest.raises(ShapeError):
+            module.select(T.constant(np.zeros((4, 6))), T.constant(np.zeros((2, 5))), [1, 2])

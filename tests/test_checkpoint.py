@@ -7,7 +7,7 @@ import pytest
 
 from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from tapgkit.autodiff.layers import MLP
+from tapgkit.autodiff.layers import MLP, Module
 from tapgkit.errors import FileFormatError
 
 
@@ -43,6 +43,31 @@ class TestRoundTrip:
             path = tmp_path / "f64.tapg"
             save_checkpoint(path, {"v": value})
             np.testing.assert_array_equal(load_checkpoint(path)["v"], value)
+
+    def test_zero_d_entry_keeps_its_shape(self, tmp_path):
+        path = tmp_path / "scalars.tapg"
+        save_checkpoint(path, {"zero_d": np.array(2.5), "one": np.array([2.5]),
+                               "f32": np.float32(-1.25)})
+        loaded = load_checkpoint(path)
+        assert {name: a.shape for name, a in loaded.items()} == {
+            "zero_d": (), "one": (1,), "f32": ()}
+        assert loaded["zero_d"] == 2.5 and loaded["f32"] == -1.25
+        # magic, count, then per entry: name length, name, rank, extents, one value
+        assert path.stat().st_size == 8 + 4 + sum(
+            4 + len(name) + 4 + 4 * rank + 8 for name, rank in
+            (("zero_d", 0), ("one", 1), ("f32", 0)))
+
+    def test_module_with_a_zero_d_tensor_loads_its_own_checkpoint(self, tmp_path):
+        class Gained(Module):
+            def __init__(self, seed):
+                self.mlp = MLP(np.random.default_rng(seed), [3, 2])
+                self.gain = T.parameter(np.array(float(seed)))
+
+        path = tmp_path / "gained.tapg"
+        save_checkpoint(path, Gained(3).state_dict())
+        dst = Gained(1)
+        dst.load_state_dict(load_checkpoint(path))
+        assert dst.gain.data.shape == () and dst.gain.data == 3.0
 
     def test_empty_state_round_trips(self, tmp_path):
         path = tmp_path / "empty.tapg"

@@ -8,10 +8,12 @@ import pytest
 
 from tapgkit.attention import MODES, AdaptiveAttention
 from tapgkit.autodiff import tensor as T
+from tapgkit.autodiff.optim import Adam
 from tapgkit.autodiff.tensor import Tape
 from tapgkit.config import RunConfig, build_model
 from tapgkit.data.features import VideoFeatureSequence
-from tapgkit.data.synthetic import generate_corpus
+from tapgkit.data.synthetic import SyntheticConfig, generate_corpus
+from tapgkit.representation import RepresentationConfig
 from tapgkit.training import TrainConfig, total_loss, train, video_labels
 
 _ENCODER = ["query.weight", "key.weight", "value.weight", "ffn_in.weight", "ffn_in.bias",
@@ -130,3 +132,46 @@ def test_every_parameter_gets_a_gradient_and_fixed_state_stays(streams, mode):
     for name, t in model.named_state():
         if name in fixed:
             assert np.array_equal(t.data, fixed[name]) and t.grad is None, name
+
+
+def _reference_train(model, corpus, cfg: TrainConfig) -> None:
+    """``train``'s epoch loop, restated with a whole ``model(seq)`` at every step."""
+    ids = sorted(corpus.features)
+    net = model.boundary_net.cfg
+    labels = {vid: video_labels(corpus.annotations[vid], net.num_snippets,
+                                net.resolved_max_duration()) for vid in ids}
+    params = model.parameters()
+    opt = Adam(params, lr=cfg.learning_rate)
+    for epoch in range(cfg.epochs):
+        for i in np.random.default_rng([cfg.seed, epoch]).permutation(len(ids)):
+            vid = ids[int(i)]
+            with Tape() as tape:
+                loss, _ = total_loss(model(corpus.features[vid]), labels[vid], cfg.mse_weight)
+                tape.backward(loss, params)
+            opt.step()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("streams", STREAMS, ids=lambda s: "+".join(
+    name for name, on in zip(("env", "actors", "objects"), s) if on))
+def test_training_on_prepared_videos_equals_whole_forwards(streams, mode):
+    """``train`` prepares each video once; the state it reaches is the one a
+    loop over ``model(seq)`` reaches, byte for byte, and fixed state stays."""
+    env, actors, objects = streams
+    corpus = generate_corpus(SyntheticConfig(
+        num_videos=2, num_snippets=16, snippet_stride=8, env_dim=8, actor_dim=8,
+        object_dim=8, max_action_len=6, seed=3))
+    assert any(len(b.actors) == 0 for seq in corpus.features.values() for b in seq.snippets)
+    run = RunConfig(representation=RepresentationConfig(
+        feature_dim=12, attention_hidden=16, attention_mode=mode, use_environment=env,
+        use_actors=actors, use_objects=objects))
+    model, reference = (build_model(run, corpus.features) for _ in range(2))
+    fixed = {n: t.data.tobytes() for n, t in model.named_state() if not t.requires_grad}
+    cfg = TrainConfig(epochs=2, seed=3)
+    train(model, corpus.features, corpus.annotations, cfg)
+    _reference_train(reference, corpus, cfg)
+    want = reference.state_dict()
+    for name, arr in model.state_dict().items():
+        assert arr.dtype == want[name].dtype and arr.tobytes() == want[name].tobytes(), name
+        if name in fixed:
+            assert arr.tobytes() == fixed[name], name

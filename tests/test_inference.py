@@ -4,10 +4,12 @@ import dataclasses
 import json
 import math
 import time
+import types
 
 import numpy as np
 import pytest
 
+from tapgkit import inference
 from tapgkit.autodiff import tensor as T
 from tapgkit.boundary_net import BoundaryNetOutput, valid_cells
 from tapgkit.config import RunConfig, build_model
@@ -511,6 +513,37 @@ class TestSuppressAgainstTheLoop:
             cfg.max_keep = int(rng.integers(1, len(rows) + 3))
             got, want = suppress(rows, cfg), _suppress_loop(rows, cfg)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("offset, weight", [(0.0, 0.5), (-0.25, 0.0), (0.3, -0.4),
+                                                (0.0, -1.0), (1e-12, 0.0)])
+    def test_configs_whose_least_threshold_is_near_zero(self, offset, weight):
+        rng = np.random.default_rng(1800)
+        for _ in range(300):
+            rows = _edge_rows(rng)
+            cfg = SoftSuppressionConfig(sigma=0.4, overlap_offset=offset,
+                                        distance_weight=weight,
+                                        max_keep=int(rng.integers(1, len(rows) + 3)))
+            got, want = suppress(rows, cfg), _suppress_loop(rows, cfg)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("offset, weight", [(0.0, 0.0), (-0.5, 0.0), (0.5, -0.4)])
+    def test_a_pick_decays_no_disjoint_row(self, monkeypatch, offset, weight):
+        """Under a threshold that IoU 0 can clear, a row that does not overlap
+        the pick would decay by exp(-0 / sigma) = 1.0: it is not decayed at all."""
+        exponents = []
+
+        def exp(x):
+            exponents.append(x)
+            return math.exp(x)
+
+        monkeypatch.setattr(inference, "math", types.SimpleNamespace(inf=math.inf, exp=exp))
+        # [0, 1] and [1, 2] touch and [2, 3] touches [1, 2]: only [0.5, 1.5] overlaps
+        rows = np.array([[0.0, 1.0, 0.9], [2.0, 3.0, 0.8], [1.0, 2.0, 0.7], [0.5, 1.5, 0.6]])
+        cfg = SoftSuppressionConfig(sigma=0.4, overlap_offset=offset, distance_weight=weight)
+        got = suppress(rows, cfg)
+        assert got.tobytes() == _suppress_loop(rows, cfg).tobytes()
+        assert len(exponents) == 2 and all(x < 0.0 for x in exponents)
 
 
 class TestGenerateProposals:

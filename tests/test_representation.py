@@ -208,3 +208,35 @@ class TestVideoMatchesLoopOracle:
             for name in want_grads:
                 np.testing.assert_allclose(got_grads[name], want_grads[name],
                                            rtol=1e-9, atol=1e-12, err_msg=name)
+
+
+class TestPreparedVideo:
+    """``forward(prepare(seq))`` is ``video(seq)``, values and gradients, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["adaptive", "soft", "hard"])
+    @pytest.mark.parametrize("streams", STREAMS,
+                             ids=lambda s: "-".join(n for n, on in zip(
+                                 ("env", "actors", "objects"), s) if on))
+    def test_forward_of_prepared_equals_video(self, mode, streams):
+        use_env, use_actors, use_objects = streams
+        model = SnippetRepresentation(np.random.default_rng(13), _cfg(
+            attention_mode=mode, use_environment=use_env,
+            use_actors=use_actors, use_objects=use_objects))
+        seq = _uneven_video(14)
+        prepared = model.prepare(seq)
+        assert sorted(prepared.selections) == [name for name, on in (
+            ("actors", use_actors), ("objects", use_objects)) if on]
+        runs = []
+        for forward in (model.video, lambda s: model.forward(prepared),
+                        lambda s: model.forward(prepared)):
+            with Tape() as tape:
+                out = forward(seq)
+                tape.backward(scalarize(out))
+            runs.append((out.data.copy(), len(tape),
+                         {n: p.grad.copy() for n, p in model.named_parameters()}))
+        want, want_len, want_grads = runs[0]
+        for got, got_len, got_grads in runs[1:]:
+            assert got.dtype == want.dtype and got_len == want_len
+            np.testing.assert_array_equal(got, want)
+            for name, grad in want_grads.items():
+                np.testing.assert_array_equal(got_grads[name], grad, err_msg=name)

@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+from tapgkit.attention import AdaptiveAttention
 from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.checkpoint import load_checkpoint, save_checkpoint
 from tapgkit.autodiff.optim import Adam
@@ -26,6 +27,7 @@ from tapgkit.errors import (
     ShapeError,
 )
 from tapgkit.evaluation import interval_iou
+from tapgkit.model import ProposalModel
 from tapgkit.representation import RepresentationConfig
 from tapgkit.training import (
     GRID_TIE_TOLERANCE,
@@ -375,6 +377,30 @@ class TestEpochLoop:
         for name, p in model.named_parameters():
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
 
+    @pytest.mark.parametrize("start_epoch", [0, 1])
+    def test_each_video_is_prepared_once_per_call(self, monkeypatch, start_epoch):
+        corpus, model = _tiny_setup(seed=8)
+        prepared, selections, whole = [], [], []
+        real_prepare, real_select = ProposalModel.prepare, AdaptiveAttention.select
+
+        def prepare(self, seq):
+            prepared.append(seq.video_id)
+            return real_prepare(self, seq)
+
+        def select(self, *args):
+            selections.append(args)
+            return real_select(self, *args)
+
+        monkeypatch.setattr(ProposalModel, "prepare", prepare)
+        monkeypatch.setattr(AdaptiveAttention, "select", select)
+        monkeypatch.setattr(ProposalModel, "__call__", lambda self, seq: whole.append(seq))
+        reports = train(model, corpus.features, corpus.annotations,
+                        TrainConfig(epochs=3, seed=8), start_epoch=start_epoch)
+        assert [r.epoch for r in reports] == list(range(start_epoch, 3))
+        assert prepared == sorted(corpus.features)
+        assert len(selections) == 2 * len(corpus.features)   # actors and objects
+        assert whole == []
+
     def test_on_epoch_callback_fires(self):
         corpus, model = _tiny_setup(seed=6)
         seen = []
@@ -585,6 +611,24 @@ class TestCheckpointResume:
         reports = train(model, corpus.features, corpus.annotations,
                         TrainConfig(epochs=4, seed=9), start_epoch=start)
         assert [r.epoch for r in reports] == [2, 3]
+
+    @pytest.mark.parametrize("shape", [(), (1,)], ids=["0-d", "stored-as-(1,)"])
+    def test_progress_entries_are_0d_and_older_files_still_resume(self, tmp_path, shape):
+        corpus, model = _tiny_setup(seed=7)
+        opt = Adam(model.parameters())
+        train(model, corpus.features, corpus.annotations, TrainConfig(epochs=1, seed=7),
+              optimizer=opt)
+        path = tmp_path / "ckpt.tapg"
+        save_training_state(path, model, 1, opt)
+        state = load_checkpoint(path)
+        assert state["meta.epochs_completed"].shape == state["optim.t"].shape == ()
+        # files written before 0-d entries kept their rank hold (1,)
+        for entry in ("meta.epochs_completed", "optim.t"):
+            state[entry] = state[entry].reshape(shape)
+        save_checkpoint(path, state)
+        resumed = Adam(model.parameters())
+        assert load_training_state(path, model, resumed) == 1
+        assert resumed.t == opt.t == 3
 
     def test_checkpoint_without_progress_resumes_at_epoch_zero(self, tmp_path):
         _, model = _tiny_setup(seed=7)

@@ -42,6 +42,7 @@ TESTS = {
     "src/tapgkit/inference.py": ("tests/test_inference.py",),
     "src/tapgkit/boundary_net.py": ("tests/test_boundary_net.py",),
     "src/tapgkit/attention.py": ("tests/test_attention.py",),
+    "src/tapgkit/representation.py": ("tests/test_representation.py",),
     "src/tapgkit/files.py": ("tests/test_files.py",),
     "src/tapgkit/data/annotations.py": ("tests/test_annotations.py",),
     "src/tapgkit/data/features.py": ("tests/test_features.py",),
