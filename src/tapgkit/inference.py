@@ -153,10 +153,13 @@ def suppress(rows: np.ndarray,
     earlier start, then to input order. Returns the kept rows, with the
     scores they had when picked, in pick order.
 
-    The pick loop rescores in place: every row-sized term is written into
-    buffers allocated once per call, by the same float64 operations in the
-    same order as the plain expressions in the comments, so the output does
-    not depend on the buffering.
+    A pick makes a fixed number of passes over the rows: one argmax, the
+    IoU with the pick (into buffers allocated once per call) and one test
+    against the least threshold any row can face. The distance threshold,
+    the decay and the floor then touch only the rows that pass that test,
+    by the same float64 operations in the same order as the plain
+    expressions in the comments. What is skipped cannot change a score or a
+    pick; the comments say why.
     """
     cfg.validate()
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
@@ -166,66 +169,62 @@ def suppress(rows: np.ndarray,
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     live = rows[:, 2].copy()        # -inf once a row is kept or dropped
     soft = isinstance(cfg, SoftSuppressionConfig)
-    # a row that does not overlap the pick decays by exp(-0 / sigma) = 1.0
-    # exactly, so skip it whenever the least threshold a row can face (the
-    # offset, or -inf under a negative distance weight) lets IoU 0 be a hit
-    skip_disjoint = soft and (
-        cfg.overlap_offset if cfg.distance_weight >= 0 else -math.inf) <= 0
-    # the pick-independent terms of interval_iou and of the centre gap,
-    # combined with each pick's in the same order as those expressions
+    floor = cfg.score_floor if soft else -math.inf
+    if soft:
+        # a hit needs IoU >= offset + weight * distance, which is at least the
+        # offset under a weight >= 0; a hit with IoU 0 would decay by
+        # exp(-0 / sigma) = 1.0 exactly, so only positive IoUs are looked at
+        least = max(cfg.overlap_offset if cfg.distance_weight >= 0 else -math.inf,
+                    np.finfo(np.float64).smallest_subnormal)
     starts, ends = rows[:, 0].copy(), rows[:, 1].copy()
+    # a kept or dropped row's length is NaN, so its union and IoU with every
+    # later pick are NaN and it is never a hit
     lengths, centres = ends - starts, starts + ends
     # with no length negative, inter <= the shorter length even rounded, so
     # the union with a pick of positive length is positive and needs no mask
     ordered = bool((lengths >= 0.0).all())
     n = len(rows)
-    inter, union, iou, bar = (np.empty(n) for _ in range(4))
-    mask, alive = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    inter, union, iou = (np.empty(n) for _ in range(3))
+    mask = np.empty(n, dtype=bool)
     kept, scores = [], []
-    for _ in range(min(cfg.max_keep, n)):
-        best = int(np.argmax(live))
-        if live[best] == -math.inf:
+    for pick in range(min(cfg.max_keep, n)):
+        best = int(live.argmax())
+        # the floor is applied to every row after the first pick; after that a
+        # decay (a factor in [0, 1]) moves a score toward 0, so it takes a row
+        # under a floor > 0 for good and never under a floor <= 0: a best score
+        # under the floor means every live score is
+        if live[best] == -math.inf or (pick and live[best] < floor):
             break
-        start, end = starts[best], ends[best]
+        start, end, length = starts[best], ends[best], lengths[best]
         kept.append(best)
         scores.append(live[best])
-        live[best] = -math.inf
-        # inter = max(0, min(end, ends) - max(start, starts))
-        np.minimum(end, ends, out=inter)
-        np.subtract(inter, np.maximum(start, starts, out=union), out=inter)
-        np.maximum(0.0, inter, out=inter)
+        live[best], lengths[best] = -math.inf, np.nan
+        # inter = min(end, ends) - max(start, starts), not clamped at 0: a
+        # negative one gives a negative IoU, which no threshold below reaches
+        np.subtract(np.minimum(end, ends, out=inter), np.maximum(start, starts, out=union),
+                    out=inter)
         # union = (length + lengths) - inter; iou = inter / union, 0 where union <= 0
-        np.subtract(np.add(lengths[best], lengths, out=union), inter, out=union)
-        if ordered and lengths[best] > 0.0:
+        np.subtract(np.add(length, lengths, out=union), inter, out=union)
+        if ordered and length > 0.0:
             np.divide(inter, union, out=iou)
         else:
             iou.fill(0.0)
             np.divide(inter, union, out=iou, where=np.greater(union, 0.0, out=mask))
         if not soft:
-            np.copyto(live, -math.inf, where=np.greater(iou, cfg.threshold, out=mask))
+            np.putmask(live, np.greater(iou, cfg.threshold, out=mask), -math.inf)
             continue
-        duration = lengths[best]
-        if duration > 0:
-            # bar = offset + weight * (|centre - centres| / 2 / duration)
-            np.subtract(centres[best], centres, out=bar)
-            np.divide(np.abs(bar, out=bar), 2.0, out=bar)
-            np.divide(bar, duration, out=bar)
-            np.add(cfg.overlap_offset,
-                   np.multiply(cfg.distance_weight, bar, out=bar), out=bar)
-            threshold = bar
-        else:
-            # a scalar: in an array, 0 * inf would warn
-            threshold = cfg.overlap_offset + cfg.distance_weight * math.inf
-        # only live rows decay: a factor that underflows to 0 would turn -inf
-        # into nan, which argmax picks first
-        np.greater_equal(iou, threshold, out=mask)
-        mask &= np.greater(live, -math.inf, out=alive)
-        if skip_disjoint:
-            mask &= np.greater(iou, 0.0, out=alive)
-        hit = mask.nonzero()[0]
+        near = np.greater_equal(iou, least, out=mask).nonzero()[0]
+        near_iou = iou[near]
+        # threshold = offset + weight * (|centre - centres| / 2 / length)
+        threshold = cfg.overlap_offset + cfg.distance_weight * (
+            np.abs(centres[best] - centres[near]) / 2.0 / length)
+        hit = near_iou >= threshold
         # math.exp, not np.exp: the two differ in the last bit on some inputs
-        live[hit] *= list(map(math.exp, (-iou[hit] / cfg.sigma).tolist()))
-        np.copyto(live, -math.inf, where=np.less(live, cfg.score_floor, out=mask))
+        live[near[hit]] *= list(map(math.exp, (-near_iou[hit] / cfg.sigma).tolist()))
+        if pick == 0:
+            np.less(live, floor, out=mask)
+            np.putmask(live, mask, -math.inf)
+            np.putmask(lengths, mask, np.nan)
     out = rows[kept]
     out[:, 2] = scores
     return out
