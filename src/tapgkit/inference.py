@@ -219,8 +219,8 @@ def suppress(rows: np.ndarray,
         threshold = cfg.overlap_offset + cfg.distance_weight * (
             np.abs(centres[best] - centres[near]) / 2.0 / length)
         hit = near_iou >= threshold
-        # math.exp, not np.exp: the two differ in the last bit on some inputs
-        live[near[hit]] *= list(map(math.exp, (-near_iou[hit] / cfg.sigma).tolist()))
+        # one np.exp for every hit; its last bit may differ from math.exp's
+        live[near[hit]] *= np.exp(-near_iou[hit] / cfg.sigma)
         if pick == 0:
             np.less(live, floor, out=mask)
             np.putmask(live, mask, -math.inf)

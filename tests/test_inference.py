@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 import time
-import types
 
 import numpy as np
 import pytest
@@ -48,24 +47,26 @@ def _iou(a, b):
 
 
 def _soft_nms_oracle(proposals, cfg):
-    """Plain-list restatement of the decayed suppression loop."""
+    """Plain-list restatement of the decayed suppression loop. Each pick's
+    decay factors come from one ``np.exp`` over its hit rows' exponents."""
     live = [[p.start, p.end, p.score, i] for i, p in enumerate(proposals)]
     kept = []
     while live and len(kept) < cfg.max_keep:
         live.sort(key=lambda r: (-r[2], r[0], r[3]))
         top = live.pop(0)
         kept.append(Proposal(top[0], top[1], top[2]))
-        survivors = []
+        hits, exponents = [], []
         for row in live:
             a = Proposal(top[0], top[1], top[2])
             b = Proposal(row[0], row[1], row[2])
             centre_gap = abs(((row[0] + row[1]) / 2) - ((top[0] + top[1]) / 2))
             gap = centre_gap / (top[1] - top[0])
             if _iou(a, b) >= cfg.overlap_offset + cfg.distance_weight * gap:
-                row[2] *= math.exp(-_iou(a, b) / cfg.sigma)
-            if row[2] >= cfg.score_floor:
-                survivors.append(row)
-        live = survivors
+                hits.append(row)
+                exponents.append(-_iou(a, b) / cfg.sigma)
+        for row, factor in zip(hits, np.exp(np.array(exponents)).tolist()):
+            row[2] *= factor
+        live = [row for row in live if row[2] >= cfg.score_floor]
     return kept
 
 
@@ -433,7 +434,7 @@ def _suppress_loop(rows, cfg):
         distance = gap / duration if duration > 0 else math.inf
         hit = (iou >= cfg.overlap_offset + cfg.distance_weight * distance) \
             & (live > -math.inf)
-        live[hit] *= [math.exp(x) for x in (-iou[hit] / cfg.sigma).tolist()]
+        live[hit] *= np.exp(-iou[hit] / cfg.sigma)
         live[live < cfg.score_floor] = -math.inf
     out = rows[kept]
     out[:, 2] = scores
@@ -531,18 +532,21 @@ class TestSuppressAgainstTheLoop:
     def test_a_pick_decays_no_disjoint_row(self, monkeypatch, offset, weight):
         """Under a threshold that IoU 0 can clear, a row that does not overlap
         the pick would decay by exp(-0 / sigma) = 1.0: it is not decayed at all."""
-        exponents = []
-
-        def exp(x):
-            exponents.append(x)
-            return math.exp(x)
-
-        monkeypatch.setattr(inference, "math", types.SimpleNamespace(inf=math.inf, exp=exp))
         # [0, 1] and [1, 2] touch and [2, 3] touches [1, 2]: only [0.5, 1.5] overlaps
         rows = np.array([[0.0, 1.0, 0.9], [2.0, 3.0, 0.8], [1.0, 2.0, 0.7], [0.5, 1.5, 0.6]])
         cfg = SoftSuppressionConfig(sigma=0.4, overlap_offset=offset, distance_weight=weight)
+        want = _suppress_loop(rows, cfg)
+        exponents, exp = [], np.exp
+
+        def spy(x):
+            exponents.extend(np.asarray(x).tolist())
+            return exp(x)
+
+        monkeypatch.setattr(np, "exp", spy)
         got = suppress(rows, cfg)
-        assert got.tobytes() == _suppress_loop(rows, cfg).tobytes()
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes()
+        # [0.5, 1.5] decays once under each of the two picks it overlaps
         assert len(exponents) == 2 and all(x < 0.0 for x in exponents)
 
 
