@@ -109,6 +109,9 @@ class SoftSuppressionConfig:
     max_keep: int = 100
 
     def validate(self) -> None:
+        for name in ("sigma", "overlap_offset", "distance_weight", "score_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, not {getattr(self, name)}")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
         if self.max_keep < 1:
@@ -155,11 +158,12 @@ def suppress(rows: np.ndarray,
 
     A pick makes a fixed number of passes over the rows: one argmax, the
     IoU with the pick (into buffers allocated once per call) and one test
-    against the least threshold any row can face. The distance threshold,
-    the decay and the floor then touch only the rows that pass that test,
-    by the same float64 operations in the same order as the plain
-    expressions in the comments. What is skipped cannot change a score or a
-    pick; the comments say why.
+    against the least threshold any row can face. The distance threshold
+    and the decay touch only the rows that pass that test, by the same
+    float64 operations in the same order as the plain expressions in the
+    comments, and after the first pick the score floor is checked against
+    each pick alone. What is skipped cannot change a score or a pick; the
+    comments say why.
     """
     cfg.validate()
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
@@ -167,7 +171,7 @@ def suppress(rows: np.ndarray,
         raise DegenerateInputError("suppression needs finite starts, ends and scores")
     # sorted by start, so argmax's first maximum is the tie order above
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    live = rows[:, 2].copy()        # -inf once a row is kept or dropped
+    live = rows[:, 2].copy()        # -inf once a row is kept or suppressed
     soft = isinstance(cfg, SoftSuppressionConfig)
     floor = cfg.score_floor if soft else -math.inf
     if soft:
@@ -177,8 +181,9 @@ def suppress(rows: np.ndarray,
         least = max(cfg.overlap_offset if cfg.distance_weight >= 0 else -math.inf,
                     np.finfo(np.float64).smallest_subnormal)
     starts, ends = rows[:, 0].copy(), rows[:, 1].copy()
-    # a kept or dropped row's length is NaN, so its union and IoU with every
-    # later pick are NaN and it is never a hit
+    # a row that is kept, or under the score floor after the first pick, gets
+    # a NaN length: its union and IoU with every later pick are NaN, so no
+    # pick rescores it again
     lengths, centres = ends - starts, starts + ends
     # with no length negative, inter <= the shorter length even rounded, so
     # the union with a pick of positive length is positive and needs no mask
@@ -189,10 +194,11 @@ def suppress(rows: np.ndarray,
     kept, scores = [], []
     for pick in range(min(cfg.max_keep, n)):
         best = int(live.argmax())
-        # the floor is applied to every row after the first pick; after that a
-        # decay (a factor in [0, 1]) moves a score toward 0, so it takes a row
-        # under a floor > 0 for good and never under a floor <= 0: a best score
-        # under the floor means every live score is
+        # Soft-NMS drops every row under the floor after each pick. A decay (a
+        # factor in [0, 1]) moves a score toward 0, so it takes a row under a
+        # floor > 0 for good and never under a floor <= 0; and no pick decays
+        # a row that was under it at the first pick. So from the second pick
+        # on, a best score under the floor means that every live score is
         if live[best] == -math.inf or (pick and live[best] < floor):
             break
         start, end, length = starts[best], ends[best], lengths[best]
@@ -222,9 +228,7 @@ def suppress(rows: np.ndarray,
         # one np.exp for every hit; its last bit may differ from math.exp's
         live[near[hit]] *= np.exp(-near_iou[hit] / cfg.sigma)
         if pick == 0:
-            np.less(live, floor, out=mask)
-            np.putmask(live, mask, -math.inf)
-            np.putmask(lengths, mask, np.nan)
+            np.putmask(lengths, np.less(live, floor, out=mask), np.nan)
     out = rows[kept]
     out[:, 2] = scores
     return out

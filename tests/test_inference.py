@@ -314,6 +314,19 @@ class TestSuppressionBounds:
             HardSuppressionConfig(threshold=0.0).validate()
         HardSuppressionConfig(threshold=1.0).validate()
 
+    @pytest.mark.parametrize("field", ["sigma", "overlap_offset", "distance_weight",
+                                       "score_floor"])
+    def test_non_finite_soft_parameter_rejected(self, field):
+        # nan sigma scored a proposal nan, nan offset turned suppression off and
+        # an infinite distance weight warned inside the pick loop
+        rows = np.array([[0.0, 2.0, 0.9], [0.5, 2.5, 0.8], [5.0, 6.0, 0.4]])
+        for bad in (math.nan, math.inf, -math.inf):
+            cfg = dataclasses.replace(SoftSuppressionConfig(sigma=0.4), **{field: bad})
+            with pytest.raises(ConfigError, match=f"{field} must be finite"):
+                cfg.validate()
+            with pytest.raises(ConfigError, match=field):
+                suppress(rows, cfg)
+
     @pytest.mark.parametrize("base", [SoftSuppressionConfig(sigma=0.4),
                                       HardSuppressionConfig(threshold=0.45)])
     def test_max_keep_must_be_at_least_one(self, base):
@@ -390,6 +403,20 @@ class TestSuppressRows:
         rows = np.array([[4.0, 6.0, 2e-5], [0.0, 1.0, 5e-5], [8.0, 9.0, 5e-5]])
         got = suppress(rows, suppression_preset(preset))
         assert got.tolist() == [[0.0, 1.0, 5e-5]]
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES[:3])
+    def test_a_score_exactly_at_the_floor_is_kept(self, preset):
+        cfg = suppression_preset(preset)
+        rows = np.array([[0.0, 1.0, 0.9], [5.0, 6.0, cfg.score_floor]])
+        assert suppress(rows, cfg).tolist() == rows.tolist()
+
+    def test_a_row_under_the_floor_stays_dropped(self):
+        # under a floor <= 0 the second pick's decay lifts [4.2, 5.2]'s negative
+        # score toward 0 and over the floor, but the row was dropped after the
+        # first pick, which it does not overlap
+        cfg = SoftSuppressionConfig(sigma=0.4, score_floor=-0.5)
+        rows = np.array([[0.0, 1.0, 0.9], [4.0, 5.0, 0.5], [4.2, 5.2, -0.8]])
+        assert suppress(rows, cfg).tolist() == [[0.0, 1.0, 0.9], [4.0, 5.0, 0.5]]
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -525,6 +552,23 @@ class TestSuppressAgainstTheLoop:
             cfg = SoftSuppressionConfig(sigma=0.4, overlap_offset=offset,
                                         distance_weight=weight,
                                         max_keep=int(rng.integers(1, len(rows) + 3)))
+            got, want = suppress(rows, cfg), _suppress_loop(rows, cfg)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_random_floors_sigmas_and_negative_scores(self):
+        """Floors at and under 0 (which a decay never takes a row under),
+        negative scores, and a sigma small enough for exp to underflow to 0."""
+        rng = np.random.default_rng(1900)
+        for i in range(600):
+            rows = _edge_rows(rng)
+            if i % 2:
+                rows[:, 2] -= rng.uniform(0.0, 1.2)
+            cfg = SoftSuppressionConfig(
+                sigma=float(rng.choice([0.4, 0.05, 1e-3])),
+                overlap_offset=float(rng.choice([0.0, 0.3, -0.2, 0.65])),
+                distance_weight=float(rng.choice([0.0, 0.4, -0.5])),
+                score_floor=float(rng.choice([1e-4, 0.0, -0.3, 0.5, -2.0])),
+                max_keep=int(rng.integers(1, len(rows) + 3)))
             got, want = suppress(rows, cfg), _suppress_loop(rows, cfg)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
