@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-from tapgkit import inference
 from tapgkit.autodiff import tensor as T
 from tapgkit.boundary_net import BoundaryNetOutput, valid_cells
 from tapgkit.config import RunConfig, build_model
