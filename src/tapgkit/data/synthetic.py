@@ -16,6 +16,11 @@ vocabulary. The environment bump overshoots the action by a random
 localize boundaries precisely; resolving the overhang requires the other
 streams.
 Background snippets are pure noise and may have zero actors.
+
+Each video is drawn snippet after snippet, in a fixed order of random
+draws, and packed once: the noise goes straight into the video's arrays,
+the signal is added to whole arrays afterwards, and the video becomes one
+``VideoFeatureSequence`` with no per-snippet object.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from tapgkit.data.annotations import (
     save_annotations,
 )
 from tapgkit.data.features import (
-    SnippetBundle,
     VideoFeatureSequence,
     feature_path,
     load_features,
@@ -158,10 +162,10 @@ def generate_corpus(cfg: SyntheticConfig) -> SyntheticCorpus:
         video = VideoAnnotation(video_id, duration, cfg.fps, frame_count, actions)
         video.validate()
 
-        covering: dict[int, int] = {}
+        # each snippet's planted class, -1 for background
+        covering = np.full(cfg.num_snippets, -1)
         for (s, e), c in zip(spans, classes):
-            for t in range(s, e):
-                covering[t] = c
+            covering[s:e] = c
 
         # the environment bump overshoots each action by a random amount, so
         # its edges do not betray the exact boundaries
@@ -171,38 +175,36 @@ def generate_corpus(cfg: SyntheticConfig) -> SyntheticCorpus:
             hi = e + int(rng.integers(0, ENV_OVERHANG + 1))
             env_spans.append((max(lo, 0), min(hi, cfg.num_snippets), c))
 
-        streams, queries = [], []
-        for t in range(cfg.num_snippets):
-            cls = covering.get(t)
-            env = cfg.noise * rng.standard_normal(cfg.env_dim)
-            for lo, hi, c in env_spans:
-                if lo <= t < hi:
-                    env = env + cfg.signal * env_dirs[c]
-
-            if cls is not None:
-                m = int(rng.integers(1, cfg.max_actors + 1))
-            else:
-                m = int(rng.integers(0, cfg.max_actors + 1))
-            actors = cfg.noise * rng.standard_normal((m, cfg.actor_dim))
-            if cls is not None and m > 0:
-                actors[0] = actors[0] + cfg.signal * actor_dirs[cls]
-
-            if cls is not None:
-                query = cfg.signal * object_dirs[cls] + cfg.noise * rng.standard_normal(cfg.object_dim)
-            else:
-                query = rng.standard_normal(cfg.object_dim)
-            streams.append((env, actors))
-            queries.append(query)
+        # the draws, snippet after snippet: environment noise, the actor
+        # count (at least one on an action) and actor noise, then the noise
+        # of the query; the signal is added to whole arrays afterwards
+        environment = np.empty((cfg.num_snippets, cfg.env_dim))
+        queries = np.empty((cfg.num_snippets, cfg.object_dim))
+        actor_sets = []
+        for t, cls in enumerate(covering.tolist()):
+            rng.standard_normal(out=environment[t])
+            m = int(rng.integers(1 if cls >= 0 else 0, cfg.max_actors + 1))
+            actor_sets.append(rng.standard_normal((m, cfg.actor_dim)))
+            rng.standard_normal(out=queries[t])
+        action = covering >= 0
+        environment *= cfg.noise
+        for lo, hi, c in env_spans:
+            environment[lo:hi] += cfg.signal * env_dirs[c]
+        actor_counts = np.array([len(a) for a in actor_sets], dtype=np.int64)
+        actors = cfg.noise * np.concatenate(actor_sets)
+        # an action snippet's first actor row carries its class
+        first = np.cumsum(actor_counts) - actor_counts
+        actors[first[action]] += cfg.signal * actor_dirs[covering[action]]
+        queries[action] = (cfg.signal * object_dirs[covering[action]]
+                           + cfg.noise * queries[action])
 
         # each snippet's query stands in for its one frame embedding
-        picked = vocab.select(np.array(queries)[:, None, :], cfg.objects_per_snippet)
-        objects = vocab.vectors[picked].astype(np.float32)
-        snippets = [
-            SnippetBundle(environment=env.astype(np.float32),
-                          actors=actors.astype(np.float32), objects=obj)
-            for (env, actors), obj in zip(streams, objects)
-        ]
-        seq = VideoFeatureSequence(video_id, cfg.snippet_stride, snippets)
+        picked = vocab.select(queries[:, None, :], cfg.objects_per_snippet)
+        seq = VideoFeatureSequence(
+            video_id, cfg.snippet_stride, environment.astype(np.float32),
+            actors.astype(np.float32),
+            vocab.vectors[picked.ravel()].astype(np.float32), actor_counts,
+            np.full(cfg.num_snippets, picked.shape[1], dtype=np.int64))
         seq.validate()
 
         annotations[video_id] = video

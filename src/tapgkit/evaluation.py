@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tapgkit.errors import EmptyInputError, ShapeError
+from tapgkit.errors import DegenerateInputError, EmptyInputError, ShapeError
 
 log = logging.getLogger("tapgkit.evaluation")
 
@@ -133,8 +133,13 @@ def average_recall(proposals_by_video: dict[str, list], gt_by_video: dict[str, n
 
 def recall_curve(proposals_by_video: dict[str, list], gt_by_video: dict[str, np.ndarray],
                  cfg: EvalConfig) -> np.ndarray:
-    """Average recall at budgets 1..max_budget; videos without ground truth are dropped once."""
+    """Average recall at budgets 1..max_budget; videos without ground truth are
+    dropped once, and a non-finite proposal raises ``DegenerateInputError``."""
     cfg.validate_curve()
+    for video_id, proposals in proposals_by_video.items():
+        if not np.isfinite(_sorted_proposals(proposals)).all():
+            raise DegenerateInputError(f"video {video_id}: recall needs finite proposal "
+                                       f"starts, ends and scores")
     annotated = _annotated(gt_by_video)
     return np.array([
         recall_at_budget(proposals_by_video, annotated, b, cfg.tious).mean()

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -100,6 +101,12 @@ def pair_candidates(output: BoundaryNetOutput) -> np.ndarray:
 # suppression
 # ---------------------------------------------------------------------------
 
+def _check_max_keep(max_keep) -> None:
+    if isinstance(max_keep, bool) or not isinstance(max_keep, numbers.Integral) \
+            or max_keep < 1:
+        raise ConfigError(f"max_keep must be at least 1 and a whole number, not {max_keep!r}")
+
+
 @dataclass
 class SoftSuppressionConfig:
     sigma: float
@@ -114,8 +121,7 @@ class SoftSuppressionConfig:
                 raise ConfigError(f"{name} must be finite, not {getattr(self, name)}")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
-        if self.max_keep < 1:
-            raise ConfigError("max_keep must be at least 1")
+        _check_max_keep(self.max_keep)
 
 
 @dataclass
@@ -126,8 +132,7 @@ class HardSuppressionConfig:
     def validate(self) -> None:
         if not (0.0 < self.threshold <= 1.0):
             raise ConfigError("suppression threshold must lie in (0, 1]")
-        if self.max_keep < 1:
-            raise ConfigError("max_keep must be at least 1")
+        _check_max_keep(self.max_keep)
 
 
 PRESETS: dict[str, SoftSuppressionConfig | HardSuppressionConfig] = {
@@ -184,7 +189,10 @@ def suppress(rows: np.ndarray,
     # a row that is kept, or under the score floor after the first pick, gets
     # a NaN length: its union and IoU with every later pick are NaN, so no
     # pick rescores it again
-    lengths, centres = ends - starts, starts + ends
+    with np.errstate(over="ignore"):
+        lengths, centres = ends - starts, starts + ends
+    if not (np.isfinite(lengths).all() and np.isfinite(centres).all()):
+        raise DegenerateInputError("suppression needs every row's length and centre finite")
     # with no length negative, inter <= the shorter length even rounded, so
     # the union with a pick of positive length is positive and needs no mask
     ordered = bool((lengths >= 0.0).all())
@@ -323,7 +331,22 @@ def merge_class_scores(proposals: list[Proposal], class_scores: dict[str, float]
 # proposal files
 # ---------------------------------------------------------------------------
 
+def _usable(p: Proposal) -> bool:
+    """Whether a proposal file can hold ``p``: a finite segment ``0 <= start
+    < end`` and a finite score ``>= 0``."""
+    # under a finite end, only a finite start passes both comparisons
+    return math.isfinite(p.end) and math.isfinite(p.score) and 0.0 <= p.start < p.end \
+        and p.score >= 0.0
+
+
 def save_proposals(path, proposals_by_video: dict[str, list[Proposal]]) -> None:
+    """Write a proposal file; a proposal that ``load_proposals`` would refuse
+    raises ``DegenerateInputError`` first, and nothing is written."""
+    for vid, props in proposals_by_video.items():
+        for p in props:
+            if not _usable(p):
+                raise DegenerateInputError(f"video {vid!r}: cannot save proposal segment "
+                                           f"[{p.start}, {p.end}] with score {p.score}")
     payload = {
         vid: [{"segment": [p.start, p.end], "score": p.score} for p in props]
         for vid, props in proposals_by_video.items()
@@ -351,7 +374,7 @@ def _read_video(where: str, records) -> list[Proposal]:
     except (KeyError, TypeError) as err:
         raise FileFormatError(f"{where}: malformed proposal ({err})") from err
     for p in props:
-        if not (0.0 <= p.start < p.end and p.score >= 0.0):
+        if not _usable(p):
             raise FileFormatError(f"{where}: unusable proposal segment "
                                   f"[{p.start}, {p.end}] with score {p.score}")
     return props

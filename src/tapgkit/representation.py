@@ -8,16 +8,18 @@ projected rows talk through one self-attention encoder, and mean pooling
 yields the snippet representation. A video becomes a (feature_dim, T) matrix
 with one column per snippet.
 
-A video is encoded in one pass, not snippet by snippet: each attention
-stream gets the video's rows packed as one (R, d) constant with per-snippet
-row counts and returns a (T, d) fused matrix (see ``attention``), the
-projected streams form one (T, streams, feature_dim) batch for the
-interaction encoder, and the mean over streams gives the (T, feature_dim)
-result. A single snippet (``snippet_with_info``) is the T = 1 case; its
+A video is encoded in one pass, not snippet by snippet. The sequence holds
+its streams packed (see ``data.features``), and each is wrapped as a
+constant as it is, with no copy when it is already in the default
+precision. Each attention stream gets the video's (R, d) rows with the
+per-snippet row counts and returns a (T, d) fused matrix (see
+``attention``), the projected streams form one (T, streams, feature_dim)
+batch for the interaction encoder, and the mean over streams gives the
+(T, feature_dim) result. A single snippet (``snippet_with_info``) is the T = 1 case; its
 per-stream ``SelectionInfo`` then describes that snippet alone.
 
 ``video(seq)`` is two steps that a caller can also take apart:
-``prepare(seq)`` stacks the environment rows and makes each stream's
+``prepare(seq)`` wraps the environment rows and makes each stream's
 ``AdaptiveAttention.select``, all from the video and the fixed state; and
 ``forward(prepared)`` fuses the selections, then runs the projections, the
 interaction encoder and the mean. ``forward(prepare(seq))`` equals
@@ -117,16 +119,17 @@ class SnippetRepresentation(Module):
             ("actors", self.actor_attention, self.actor_proj),
             ("objects", self.object_attention, self.object_proj)) if attention is not None]
 
-    def _pack(self, snippets) -> tuple[Tensor, dict[str, tuple[Tensor, Tensor, list[int]]]]:
+    def _pack(self, seq: VideoFeatureSequence) -> tuple[
+            Tensor, dict[str, tuple[Tensor, Tensor, np.ndarray]]]:
         """The (T, env_dim) environment rows, and each attention stream's
-        arguments: its rows packed as one (R, d) constant, the scoring
-        context and the per-snippet row counts."""
-        environment = np.stack([b.environment for b in snippets])
-        env = T.constant(environment)
-        context = env if self.cfg.use_environment else T.constant(np.zeros_like(environment))
-        sets = {"actors": [b.actors for b in snippets], "objects": [b.objects for b in snippets]}
-        return env, {name: (T.constant(np.concatenate(sets[name], axis=0)), context,
-                            [len(s) for s in sets[name]]) for name, _, _ in self._attentions()}
+        arguments: its packed (R, d) rows, the scoring context and the
+        per-snippet row counts, all wrapped from ``seq`` as constants."""
+        env = T.constant(seq.environment)
+        context = env if self.cfg.use_environment else T.constant(np.zeros_like(env.data))
+        packed = {"actors": (seq.actors, seq.actor_counts),
+                  "objects": (seq.objects, seq.object_counts)}
+        return env, {name: (T.constant(packed[name][0]), context, packed[name][1])
+                     for name, _, _ in self._attentions()}
 
     def _encode(self, env: Tensor, fuse) -> tuple[Tensor, dict[str, SelectionInfo]]:
         """(T, feature_dim) representations of T snippets; ``fuse(name,
@@ -141,23 +144,23 @@ class SnippetRepresentation(Module):
         stacked = T.stack(streams, axis=1)                        # (T, streams, d_f)
         return T.mean(self.interaction(stacked), axis=1), info
 
-    def _call(self, snippets) -> tuple[Tensor, dict[str, SelectionInfo]]:
+    def _call(self, seq: VideoFeatureSequence) -> tuple[Tensor, dict[str, SelectionInfo]]:
         """``_encode`` with each stream selected and fused by its attention's call."""
-        env, args = self._pack(snippets)
+        env, args = self._pack(seq)
         return self._encode(env, lambda name, attention: attention(*args[name]))
 
     def snippet_with_info(self, bundle: SnippetBundle) -> tuple[Tensor, dict[str, SelectionInfo]]:
         """One snippet's (feature_dim,) vector and its per-stream selections."""
-        fused, info = self._call([bundle])
+        fused, info = self._call(VideoFeatureSequence.from_snippets("snippet", 1, [bundle]))
         return T.reshape(fused, (-1,)), info
 
     def video(self, seq: VideoFeatureSequence) -> Tensor:
         """Representation matrix (feature_dim, T), one column per snippet."""
-        return T.transpose(self._call(seq.snippets)[0])
+        return T.transpose(self._call(seq)[0])
 
     def prepare(self, seq: VideoFeatureSequence) -> PreparedVideo:
         """The video's environment rows and each attention stream's selection."""
-        env, args = self._pack(seq.snippets)
+        env, args = self._pack(seq)
         return PreparedVideo(env, {name: attention.select(*args[name])
                                    for name, attention, _ in self._attentions()})
 

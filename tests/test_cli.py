@@ -1,6 +1,7 @@
 """Command-line entry points, exercised end to end in a temp directory."""
 
 import configparser
+import dataclasses
 import json
 import logging
 import os
@@ -13,7 +14,7 @@ from tapgkit import cli, evaluation
 from tapgkit.autodiff.checkpoint import load_checkpoint, save_checkpoint
 from tapgkit.cli import main
 from tapgkit.config import RunConfig, load_run_config, render
-from tapgkit.data.features import load_features, save_features
+from tapgkit.data.features import VideoFeatureSequence, load_features, save_features
 from tapgkit.inference import PRESETS
 
 # A corpus and training profile small enough for fast CLI runs.
@@ -568,10 +569,11 @@ class TestCorpusRejections:
         path = data / "features" / f"{vids[1]}.feat"
         seq = load_features(path, vids[1])
         if change == "snippet_count":
-            seq.snippets.pop()
+            seq = VideoFeatureSequence.from_snippets(vids[1], seq.snippet_stride,
+                                                     seq.snippets[:-1])
         elif change == "stream_width":
-            for s in seq.snippets:
-                s.environment = s.environment[:-1]
+            seq = VideoFeatureSequence.from_snippets(vids[1], seq.snippet_stride, [
+                dataclasses.replace(s, environment=s.environment[:-1]) for s in seq.snippets])
         else:
             seq.snippet_stride *= 2
         save_features(path, seq)

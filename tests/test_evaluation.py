@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tapgkit import evaluation
-from tapgkit.errors import EmptyInputError, ShapeError
+from tapgkit.errors import DegenerateInputError, EmptyInputError, ShapeError
 from tapgkit.evaluation import (
     DEFAULT_TIOUS,
     Detection,
@@ -217,6 +217,16 @@ class TestRecallCurve:
                              float(rng.uniform(0, 1))))
             proposals[vid] = _proposals(rows)
         return proposals, gt
+
+    @pytest.mark.parametrize("bad", [Proposal(5.0, np.nan, 0.5), Proposal(5.0, np.inf, 0.5),
+                                     Proposal(np.nan, 6.0, 0.5), Proposal(5.0, 6.0, np.nan),
+                                     Proposal(-np.inf, 6.0, 0.5)])
+    def test_non_finite_proposal_raises(self, bad):
+        # a proposal ending at NaN was scored as a miss, without an error
+        proposals, gt = self._fixture()
+        proposals["v1"] = [*proposals["v1"], bad]
+        with pytest.raises(DegenerateInputError, match="video v1"):
+            recall_curve(proposals, gt, EvalConfig(max_budget=12))
 
     def test_monotone_in_budget(self):
         proposals, gt = self._fixture()

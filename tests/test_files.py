@@ -221,7 +221,7 @@ class TestMutations:
     def test_features(self, tmp_path):
         rng = np.random.default_rng(19)
         f32 = np.float32
-        save_features(tmp_path / "vid.feat", VideoFeatureSequence("vid", 8, [
+        save_features(tmp_path / "vid.feat", VideoFeatureSequence.from_snippets("vid", 8, [
             SnippetBundle(rng.standard_normal(3).astype(f32),
                           rng.standard_normal((m, 2)).astype(f32),
                           rng.standard_normal((k, 4)).astype(f32))

@@ -117,7 +117,7 @@ def test_every_parameter_gets_a_gradient_and_fixed_state_stays(streams, mode):
     snippets = list(seq.snippets)
     assert any(len(b.actors) == 0 for b in snippets)
     snippets[1] = dataclasses.replace(snippets[1], objects=snippets[1].objects[:0])
-    seq = VideoFeatureSequence(seq.video_id, seq.snippet_stride, snippets)
+    seq = VideoFeatureSequence.from_snippets(seq.video_id, seq.snippet_stride, snippets)
     net = model.boundary_net.cfg
     labels = video_labels(corpus.annotations[seq.video_id], net.num_snippets,
                           net.resolved_max_duration())

@@ -333,6 +333,20 @@ class TestSuppressionBounds:
             dataclasses.replace(base, max_keep=0).validate()
         dataclasses.replace(base, max_keep=1).validate()
 
+    @pytest.mark.parametrize("base", [SoftSuppressionConfig(sigma=0.4),
+                                      HardSuppressionConfig(threshold=0.5)])
+    def test_max_keep_must_be_a_whole_number(self, base):
+        # a hard config with max_keep=1.5 raised TypeError inside suppress, and a
+        # soft one with 2.5 ran
+        rows = np.array([[0.0, 2.0, 0.9], [5.0, 6.0, 0.4], [8.0, 9.0, 0.2]])
+        for bad in (1.5, 2.5, 2.0, True, "2", np.float64(2.0)):
+            cfg = dataclasses.replace(base, max_keep=bad)
+            with pytest.raises(ConfigError, match="whole number"):
+                cfg.validate()
+            with pytest.raises(ConfigError, match="max_keep"):
+                suppress(rows, cfg)
+        assert len(suppress(rows, dataclasses.replace(base, max_keep=np.int64(2)))) == 2
+
 
 class TestPresets:
     def test_named_parameter_sets(self):
@@ -423,6 +437,23 @@ class TestSuppressRows:
         rows = np.array([[0.0, 2.0, 0.9], [0.5, 2.5, bad], [5.0, 6.0, 0.4]])
         with pytest.raises(DegenerateInputError):
             suppress(rows, suppression_preset(preset))
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("rows", [
+        [[-1e308, 1e308, 0.9], [-1e308, 1e308, 0.5]],       # length overflows
+        [[1e308, 1.5e308, 0.9], [0.0, 1.0, 0.5]],           # centre overflows
+        [[-1.5e308, -1e308, 0.9]],
+    ])
+    def test_row_with_overflowing_length_or_centre_rejected(self, preset, rows):
+        # the length once overflowed with a RuntimeWarning inside suppress
+        with pytest.raises(DegenerateInputError, match="length and centre"):
+            suppress(np.array(rows), suppression_preset(preset))
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_huge_rows_with_finite_lengths_and_centres_are_suppressed(self, preset):
+        rows = np.array([[-4e307, 4e307, 0.9], [-1e307, 4e307, 0.5], [4e307, 4.5e307, 0.1]])
+        got = suppress(rows, suppression_preset(preset))
+        assert got[0].tolist() == [-4e307, 4e307, 0.9] and np.isfinite(got).all()
 
     def test_empty_rows(self):
         got = suppress(np.zeros((0, 3)), suppression_preset("anet-tapg-snms"))
@@ -722,6 +753,43 @@ class TestProposalFiles:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["proposals.json"]
         assert load_proposals(path)["vid_a"][0].end == 2.5
+
+    @pytest.mark.parametrize("bad", [
+        Proposal(0.0, 1.0, math.nan), Proposal(0.0, 1.0, math.inf),
+        Proposal(0.0, math.nan, 0.5), Proposal(0.0, math.inf, 0.5),
+        Proposal(math.nan, 1.0, 0.5), Proposal(-math.inf, 1.0, 0.5),
+        Proposal(-0.5, 1.0, 0.5), Proposal(1.0, 1.0, 0.5), Proposal(2.0, 1.0, 0.5),
+        Proposal(0.0, 1.0, -0.5),
+    ])
+    def test_proposal_the_reader_refuses_is_not_saved(self, tmp_path, bad):
+        # a NaN score was written as the non-JSON token NaN, which load_proposals refused
+        path = tmp_path / "proposals.json"
+        with pytest.raises(DegenerateInputError, match="'vid_b'"):
+            save_proposals(path, {"vid_a": [Proposal(0.0, 1.0, 0.5)],
+                                  "vid_b": [Proposal(2.0, 3.0, 0.5), bad]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_what_save_writes_load_reads_back_equal(self, tmp_path):
+        rng = np.random.default_rng(23)
+        pool = [0.0, 1e-300, 0.1, 1.0 / 3.0, 2.5, 1e15, 1e300, -0.5, -1e-300,
+                math.nan, math.inf, -math.inf]
+        path = tmp_path / "proposals.json"
+        saved = 0
+        for _ in range(300):
+            table = {f"v{i}": [Proposal(*(float(pool[j]) if rng.random() < 0.2 else
+                                          float(rng.uniform(0.0, 50.0))
+                                          for j in rng.integers(len(pool), size=3)))
+                               for _ in range(int(rng.integers(0, 4)))]
+                     for i in range(int(rng.integers(1, 3)))}
+            path.unlink(missing_ok=True)
+            try:
+                save_proposals(path, table)
+            except DegenerateInputError:
+                assert not path.exists()
+                continue
+            saved += 1
+            assert load_proposals(path) == table
+        assert 50 < saved < 250
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"

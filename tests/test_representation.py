@@ -41,7 +41,7 @@ class TestShapes:
     def test_video_matrix_is_feature_by_time(self):
         rng = np.random.default_rng(1)
         model = SnippetRepresentation(rng, _cfg())
-        seq = VideoFeatureSequence("v", 16, [_bundle(rng) for _ in range(7)])
+        seq = VideoFeatureSequence.from_snippets("v", 16, [_bundle(rng) for _ in range(7)])
         assert model.video(seq).data.shape == (10, 7)
 
     def test_zero_actor_snippet_uses_default_vector(self):
@@ -176,7 +176,7 @@ def _uneven_video(seed):
     rng = np.random.default_rng(seed)
     actors = [0, 3, 1, 5, 0, 2, 4, 0, 1]
     objects = [2, 0, 3, 1, 0, 1, 0, 2, 3]
-    return VideoFeatureSequence("v", 16, [
+    return VideoFeatureSequence.from_snippets("v", 16, [
         _bundle(rng, m=m, k=k) for m, k in zip(actors, objects)])
 
 

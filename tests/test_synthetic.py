@@ -1,11 +1,14 @@
 """Synthetic corpus: determinism, alignment guarantees, planted signal."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tapgkit.data import synthetic
 from tapgkit.data.annotations import rescale_action
 from tapgkit.data.synthetic import SyntheticConfig, generate_corpus, write_corpus
-from tapgkit.data.features import load_features
+from tapgkit.data.features import SnippetBundle, VideoFeatureSequence, load_features
 from tapgkit.data.annotations import load_annotations
 from tapgkit.errors import ConfigError
 
@@ -15,6 +18,136 @@ def _small(seed=0, **overrides):
                 env_dim=8, actor_dim=8, object_dim=8, max_action_len=6)
     base.update(overrides)
     return SyntheticConfig(**base)
+
+
+def _reference_corpus(cfg):
+    """``generate_corpus`` restated snippet by snippet from the same random
+    draws: the vocabulary, each video's (start, end, class) actions, and its
+    streams packed from one bundle per snippet."""
+    master = np.random.default_rng(cfg.seed)
+
+    def unit(dim):
+        v = master.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    env_dirs, actor_dirs, object_dirs = (
+        np.stack([unit(dim) for _ in range(cfg.num_classes)])
+        for dim in (cfg.env_dim, cfg.actor_dim, cfg.object_dim))
+    names, vectors = [], []
+    for c in range(cfg.num_classes):
+        for j in range(2):
+            v = object_dirs[c] + 0.15 * master.standard_normal(cfg.object_dim)
+            names.append(f"{synthetic.CLASS_WORDS[c]}_obj{j}")
+            vectors.append(v / np.linalg.norm(v))
+    for j in range(max(4, cfg.num_classes)):
+        names.append(f"misc{j}")
+        vectors.append(unit(cfg.object_dim))
+    vocab = synthetic.EmbeddedVocabulary(names, np.array(vectors))
+
+    actions, features = {}, {}
+    for v in range(cfg.num_videos):
+        rng = np.random.default_rng(master.integers(2**63))
+        spans = []
+        for _ in range(int(rng.integers(1, cfg.max_actions_per_video + 1))):
+            for _attempt in range(200):
+                length = int(rng.integers(cfg.min_action_len, cfg.max_action_len + 1))
+                start = int(rng.integers(1, cfg.num_snippets - length))
+                # at least one background snippet between two actions
+                if all(start + length < s or start > e for s, e in spans):
+                    spans.append((start, start + length))
+                    break
+        spans.sort()
+        classes = [int(rng.integers(cfg.num_classes)) for _ in spans]
+        actions[f"synth_{v:04d}"] = [(s, e, c) for (s, e), c in zip(spans, classes)]
+        covering = {t: c for (s, e), c in zip(spans, classes) for t in range(s, e)}
+        env_spans = []
+        for (s, e), c in zip(spans, classes):
+            lo = s - int(rng.integers(0, synthetic.ENV_OVERHANG + 1))
+            hi = e + int(rng.integers(0, synthetic.ENV_OVERHANG + 1))
+            env_spans.append((max(lo, 0), min(hi, cfg.num_snippets), c))
+        streams, queries = [], []
+        for t in range(cfg.num_snippets):
+            cls = covering.get(t)
+            env = cfg.noise * rng.standard_normal(cfg.env_dim)
+            for lo, hi, c in env_spans:
+                if lo <= t < hi:
+                    env = env + cfg.signal * env_dirs[c]
+            m = int(rng.integers(0 if cls is None else 1, cfg.max_actors + 1))
+            actors = cfg.noise * rng.standard_normal((m, cfg.actor_dim))
+            if cls is not None:
+                actors[0] = actors[0] + cfg.signal * actor_dirs[cls]
+                query = cfg.signal * object_dirs[cls] + cfg.noise * rng.standard_normal(
+                    cfg.object_dim)
+            else:
+                query = rng.standard_normal(cfg.object_dim)
+            streams.append((env, actors))
+            queries.append(query)
+        picked = vocab.select(np.array(queries)[:, None, :], cfg.objects_per_snippet)
+        features[f"synth_{v:04d}"] = VideoFeatureSequence.from_snippets(
+            f"synth_{v:04d}", cfg.snippet_stride, [
+                SnippetBundle(env.astype(np.float32), actors.astype(np.float32),
+                              vocab.vectors[rows].astype(np.float32))
+                for (env, actors), rows in zip(streams, picked)])
+    return vocab, actions, features
+
+
+PINNED_DRAWS = {
+    "synth_0000": ([(6.0, 14.0, "throw"), (16.0, 20.0, "throw")],
+                   [2, 1, 1, 1, 3, 1, 1, 3, 1, 2, 1, 0]),
+    "synth_0001": ([(8.0, 18.0, "swing")], [3, 0, 1, 2, 2, 2, 2, 1, 1, 2, 0, 2]),
+}
+
+
+class TestPackedGeneration:
+    @pytest.mark.parametrize("cfg", [
+        SyntheticConfig(num_videos=4, seed=3),
+        SyntheticConfig(num_videos=3, num_snippets=12, snippet_stride=4, env_dim=5,
+                        actor_dim=3, object_dim=7, max_actors=5, objects_per_snippet=12,
+                        num_classes=2, max_action_len=10, max_actions_per_video=3,
+                        signal=2.0, noise=0.5, seed=8),
+        # actions one background snippet apart are common here
+        SyntheticConfig(num_videos=8, num_snippets=10, min_action_len=2, max_action_len=3,
+                        max_actions_per_video=3, seed=5),
+        # a second action never fits, so every placement makes all 200 attempts
+        SyntheticConfig(num_videos=2, num_snippets=10, min_action_len=8, max_action_len=8,
+                        seed=6),
+    ], ids=["desk", "odd", "crowded", "full"])
+    def test_corpus_equals_the_snippet_by_snippet_reference(self, cfg):
+        corpus = generate_corpus(cfg)
+        vocab, actions, reference = _reference_corpus(cfg)
+        assert corpus.vocabulary.names == vocab.names
+        assert np.array_equal(corpus.vocabulary.vectors, vocab.vectors)
+        spacing = cfg.snippet_stride / cfg.fps
+        assert {vid: [(a.start, a.end, a.label) for a in ann.annotations]
+                for vid, ann in corpus.annotations.items()} == {
+            vid: [(s * spacing, e * spacing, synthetic.CLASS_WORDS[c]) for s, e, c in spans]
+            for vid, spans in actions.items()}
+        assert list(corpus.features) == list(reference)
+        for vid, want in reference.items():
+            got = corpus.features[vid]
+            assert (got.video_id, got.snippet_stride) == (vid, cfg.snippet_stride)
+            for field in ("environment", "actors", "objects", "actor_counts",
+                          "object_counts"):
+                a, b = getattr(want, field), getattr(got, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (vid, field)
+
+    def test_draws_are_pinned(self):
+        # integer draws only, so the same on every platform: the planted
+        # actions and each snippet's actor count fix the order of the draws
+        corpus = generate_corpus(SyntheticConfig(num_videos=2, num_snippets=12,
+                                                 max_action_len=6, seed=9))
+        got = {vid: ([(a.start, a.end, a.label) for a in ann.annotations],
+                     corpus.features[vid].actor_counts.tolist())
+               for vid, ann in corpus.annotations.items()}
+        assert got == PINNED_DRAWS
+
+    def test_defaults(self):
+        assert dataclasses.asdict(SyntheticConfig()) == dict(
+            num_videos=20, num_snippets=32, snippet_stride=16, fps=8.0, env_dim=16,
+            actor_dim=16, object_dim=16, max_actors=3, objects_per_snippet=3,
+            num_classes=3, min_action_len=2, max_action_len=8, max_actions_per_video=2,
+            signal=3.0, noise=0.25, seed=0)
+        assert synthetic.ENV_OVERHANG == 1
 
 
 class TestDeterminism:

@@ -18,6 +18,7 @@ from tapgkit.autodiff.tensor import Tape
 from tapgkit.boundary_net import BoundaryNetOutput, valid_cells
 from tapgkit.config import RunConfig, build_model
 from tapgkit.data.annotations import ActionInstance, VideoAnnotation
+from tapgkit.data.features import VideoFeatureSequence
 from tapgkit.data.synthetic import SyntheticConfig, generate_corpus
 from tapgkit.errors import (
     ConfigError,
@@ -367,7 +368,8 @@ class TestEpochLoop:
         vid = sorted(corpus.features)[1]
         seq = corpus.features[vid]
         narrow = [dataclasses.replace(s, actors=s.actors[:, :-1]) for s in seq.snippets]
-        features = {**corpus.features, vid: dataclasses.replace(seq, snippets=narrow)}
+        features = {**corpus.features, vid: VideoFeatureSequence.from_snippets(
+            vid, seq.snippet_stride, narrow)}
         before = {name: p.data.copy() for name, p in model.named_parameters()}
         optimizer = Adam(model.parameters())
         with pytest.raises(ConfigError, match=f"{vid}: snippet count or stream widths"):

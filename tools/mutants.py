@@ -45,7 +45,7 @@ TESTS = {
     "src/tapgkit/representation.py": ("tests/test_representation.py",),
     "src/tapgkit/files.py": ("tests/test_files.py",),
     "src/tapgkit/data/annotations.py": ("tests/test_annotations.py",),
-    "src/tapgkit/data/features.py": ("tests/test_features.py",),
+    "src/tapgkit/data/features.py": ("tests/test_features.py", "tests/test_files.py"),
     "src/tapgkit/data/synthetic.py": ("tests/test_synthetic.py",),
 }
 
