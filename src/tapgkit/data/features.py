@@ -130,16 +130,6 @@ class VideoFeatureSequence:
                                  f"the {len(rows)} {name} rows")
 
 
-def _word_parts(pairs: np.ndarray, d_e: int, d_a: int, d_o: int) -> np.ndarray:
-    """For every four-byte word of a body whose snippets have the (T, 2) row
-    counts ``pairs``: 0 for an (M, K) pair, 1 for the environment, 2 for an
-    actor and 3 for an object value."""
-    sizes = np.empty((len(pairs), 4), dtype=np.int64)
-    sizes[:, 0], sizes[:, 1] = 2, d_e
-    sizes[:, 2:] = pairs * (d_a, d_o)
-    return np.repeat(np.tile(np.arange(4, dtype=np.int8), len(pairs)), sizes.ravel())
-
-
 def save_features(path, seq: VideoFeatureSequence) -> None:
     seq.validate()
     d_e, d_a, d_o = seq.dims()
@@ -171,9 +161,13 @@ def load_features(path, video_id: str | None = None) -> VideoFeatureSequence:
         cursor.take(4 * (d_e + m * d_a + k * d_o))
         counts += m, k
     cursor.finish()
-    # each count times its width fits in int64: the walk found its floats in the file
+    # label each word of the body: 0 for an (M, K) pair, 1 for the environment,
+    # 2 for an actor and 3 for an object value; each count times its width
+    # fits in int64, since the walk found that many floats in the file
     pairs = np.array(counts, dtype=np.int64).reshape(num_snippets, 2)
-    part = _word_parts(pairs, d_e, d_a, d_o)
+    sizes = np.empty((num_snippets, 4), dtype=np.int64)
+    sizes[:, 0], sizes[:, 1], sizes[:, 2:] = 2, d_e, pairs * (d_a, d_o)
+    part = np.repeat(np.tile(np.arange(4, dtype=np.int8), num_snippets), sizes.ravel())
     words = np.frombuffer(cursor.view, dtype="<f4", offset=body)
     return VideoFeatureSequence(
         video_id or cursor.path.stem, stride,
