@@ -108,13 +108,18 @@ def _annotated(gt_by_video: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 def recall_at_budget(proposals_by_video: dict[str, list], gt_by_video: dict[str, np.ndarray],
                      budget: int, tious) -> np.ndarray:
     """Pooled recall per overlap threshold with top-``budget`` proposals per
-    video; videos without ground truth are skipped with a warning."""
+    video; videos without ground truth are skipped with a warning, and a
+    non-finite proposal of a scored video raises ``DegenerateInputError``."""
     tious = np.asarray(tious, dtype=np.float64)
     matched = np.zeros(len(tious))
     total = 0
     for video_id, gt in _annotated(gt_by_video).items():
         total += gt.shape[0]
-        props = _sorted_proposals(proposals_by_video.get(video_id, []))[:budget]
+        props = _sorted_proposals(proposals_by_video.get(video_id, []))
+        if not np.isfinite(props).all():
+            raise DegenerateInputError(f"video {video_id}: recall needs finite proposal "
+                                       f"starts, ends and scores")
+        props = props[:budget]
         if props.shape[0] == 0:
             continue
         iou = iou_matrix(props[:, :2], gt)
@@ -134,12 +139,9 @@ def average_recall(proposals_by_video: dict[str, list], gt_by_video: dict[str, n
 def recall_curve(proposals_by_video: dict[str, list], gt_by_video: dict[str, np.ndarray],
                  cfg: EvalConfig) -> np.ndarray:
     """Average recall at budgets 1..max_budget; videos without ground truth are
-    dropped once, and a non-finite proposal raises ``DegenerateInputError``."""
+    dropped once, and a non-finite proposal of a scored video raises
+    ``DegenerateInputError``."""
     cfg.validate_curve()
-    for video_id, proposals in proposals_by_video.items():
-        if not np.isfinite(_sorted_proposals(proposals)).all():
-            raise DegenerateInputError(f"video {video_id}: recall needs finite proposal "
-                                       f"starts, ends and scores")
     annotated = _annotated(gt_by_video)
     return np.array([
         recall_at_budget(proposals_by_video, annotated, b, cfg.tious).mean()

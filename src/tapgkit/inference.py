@@ -191,8 +191,21 @@ def suppress(rows: np.ndarray,
     # pick rescores it again
     with np.errstate(over="ignore"):
         lengths, centres = ends - starts, starts + ends
+        # a length, an intersection and a union (the two rows' hull) are each
+        # at most the span S of all starts and ends, but a union first sums
+        # two lengths, up to 2 S; a hit needs a pick of positive length, and
+        # its distance term is at most 2 S over the shortest such length (the
+        # rows are sorted by start)
+        span = max(starts[-1], ends.max()) - min(starts[0], ends.min()) if len(rows) else 0.0
+        reach = 2.0 * float(span)
     if not (np.isfinite(lengths).all() and np.isfinite(centres).all()):
         raise DegenerateInputError("suppression needs every row's length and centre finite")
+    if soft:    # in Python floats, which reach inf or NaN without a warning
+        shortest = float(lengths[lengths > 0.0].min(initial=math.inf))
+        reach += abs(cfg.overlap_offset) + abs(cfg.distance_weight) * (reach / shortest)
+    if not math.isfinite(reach):
+        raise DegenerateInputError("suppression rows span too wide a range for their shortest "
+                                   "length: a union or a distance threshold would overflow")
     # with no length negative, inter <= the shorter length even rounded, so
     # the union with a pick of positive length is positive and needs no mask
     ordered = bool((lengths >= 0.0).all())

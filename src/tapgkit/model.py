@@ -1,9 +1,9 @@
 """End-to-end model: snippet fusion feeding the boundary/proposal network.
 
-``model(seq)`` checks the video against the model and runs both halves.
-``forward(prepare(seq))`` is the same pass split in two: ``prepare`` does the
-checks and every part that depends only on the video and the fixed state
-(see ``representation``), ``forward`` the rest.
+``model(seq)`` checks the video against the model and runs both halves, the
+representation by its one route (see ``representation``). ``forward(prepare(seq))``
+is the same pass split in two: ``prepare`` does the checks and every part that
+depends only on the video and the fixed state, ``forward`` the rest.
 """
 
 from __future__ import annotations
@@ -53,5 +53,5 @@ class ProposalModel(Module):
         return self.representation.prepare(seq)
 
     def forward(self, prepared: PreparedVideo) -> BoundaryNetOutput:
-        """``model(seq)`` from ``prepare(seq)``, bit for bit."""
+        """``model(seq)`` from ``prepare(seq)``."""
         return self.boundary_net(self.representation.forward(prepared))

@@ -8,23 +8,20 @@ projected rows talk through one self-attention encoder, and mean pooling
 yields the snippet representation. A video becomes a (feature_dim, T) matrix
 with one column per snippet.
 
-A video is encoded in one pass, not snippet by snippet. The sequence holds
-its streams packed (see ``data.features``), and each is wrapped as a
-constant as it is, with no copy when it is already in the default
-precision. Each attention stream gets the video's (R, d) rows with the
-per-snippet row counts and returns a (T, d) fused matrix (see
-``attention``), the projected streams form one (T, streams, feature_dim)
-batch for the interaction encoder, and the mean over streams gives the
-(T, feature_dim) result. A single snippet (``snippet_with_info``) is the T = 1 case; its
-per-stream ``SelectionInfo`` then describes that snippet alone.
-
-``video(seq)`` is two steps that a caller can also take apart:
-``prepare(seq)`` wraps the environment rows and makes each stream's
-``AdaptiveAttention.select``, all from the video and the fixed state; and
-``forward(prepared)`` fuses the selections, then runs the projections, the
-interaction encoder and the mean. ``forward(prepare(seq))`` equals
-``video(seq)`` bit for bit, so training prepares each video once per call
-and runs only ``forward`` at every step (see ``training.train``).
+A video is encoded in one pass, not snippet by snippet, by one route in two
+steps. ``prepare(seq)`` wraps the streams the sequence holds packed (see
+``data.features``) as constants, with no copy when they are already in the
+default precision, and makes each attention stream's
+``AdaptiveAttention.select`` over the video's (R, d) rows and per-snippet row
+counts: all of it depends only on the video and the fixed state.
+``forward(prepared)`` fuses each selection into a (T, d) matrix (see
+``attention``), stacks the projected streams into one (T, streams,
+feature_dim) batch for the interaction encoder, and takes the mean over
+streams. ``video(seq)`` is ``forward(prepare(seq))``, so infer and training
+compute the same matrix; training prepares each video once per call and runs
+only ``forward`` at every step (see ``training.train``). A single snippet
+(``snippet_with_info``) is the T = 1 case; its per-stream ``SelectionInfo``
+then describes that snippet alone.
 
 Streams can be disabled independently for ablations. Adaptive and hard
 attention need the environment vector as scoring context, so disabling the
@@ -119,53 +116,40 @@ class SnippetRepresentation(Module):
             ("actors", self.actor_attention, self.actor_proj),
             ("objects", self.object_attention, self.object_proj)) if attention is not None]
 
-    def _pack(self, seq: VideoFeatureSequence) -> tuple[
-            Tensor, dict[str, tuple[Tensor, Tensor, np.ndarray]]]:
-        """The (T, env_dim) environment rows, and each attention stream's
-        arguments: its packed (R, d) rows, the scoring context and the
-        per-snippet row counts, all wrapped from ``seq`` as constants."""
+    def prepare(self, seq: VideoFeatureSequence) -> PreparedVideo:
+        """The video's environment rows and each attention stream's selection,
+        made from ``seq``'s packed arrays wrapped as constants."""
         env = T.constant(seq.environment)
         context = env if self.cfg.use_environment else T.constant(np.zeros_like(env.data))
         packed = {"actors": (seq.actors, seq.actor_counts),
                   "objects": (seq.objects, seq.object_counts)}
-        return env, {name: (T.constant(packed[name][0]), context, packed[name][1])
-                     for name, _, _ in self._attentions()}
+        return PreparedVideo(env, {
+            name: attention.select(T.constant(packed[name][0]), context, packed[name][1])
+            for name, attention, _ in self._attentions()})
 
-    def _encode(self, env: Tensor, fuse) -> tuple[Tensor, dict[str, SelectionInfo]]:
-        """(T, feature_dim) representations of T snippets; ``fuse(name,
-        attention)`` gives a stream's (T, d) fused rows and its selection."""
+    def _encode(self, prepared: PreparedVideo) -> tuple[Tensor, dict[str, SelectionInfo]]:
+        """(T, feature_dim) representations of a prepared video's T snippets,
+        and each stream's selections."""
         streams: list[Tensor] = []
         info: dict[str, SelectionInfo] = {}
         for name, attention, proj in self._attentions():
-            fused, info[name] = fuse(name, attention)
+            fused, info[name] = attention.fuse(prepared.selections[name])
             streams.append(proj(fused))
         if self.env_proj is not None:
-            streams.append(self.env_proj(env))
+            streams.append(self.env_proj(prepared.environment))
         stacked = T.stack(streams, axis=1)                        # (T, streams, d_f)
         return T.mean(self.interaction(stacked), axis=1), info
 
-    def _call(self, seq: VideoFeatureSequence) -> tuple[Tensor, dict[str, SelectionInfo]]:
-        """``_encode`` with each stream selected and fused by its attention's call."""
-        env, args = self._pack(seq)
-        return self._encode(env, lambda name, attention: attention(*args[name]))
-
-    def snippet_with_info(self, bundle: SnippetBundle) -> tuple[Tensor, dict[str, SelectionInfo]]:
-        """One snippet's (feature_dim,) vector and its per-stream selections."""
-        fused, info = self._call(VideoFeatureSequence.from_snippets("snippet", 1, [bundle]))
-        return T.reshape(fused, (-1,)), info
+    def forward(self, prepared: PreparedVideo) -> Tensor:
+        """Representation matrix (feature_dim, T) of a prepared video."""
+        return T.transpose(self._encode(prepared)[0])
 
     def video(self, seq: VideoFeatureSequence) -> Tensor:
         """Representation matrix (feature_dim, T), one column per snippet."""
-        return T.transpose(self._call(seq)[0])
+        return self.forward(self.prepare(seq))
 
-    def prepare(self, seq: VideoFeatureSequence) -> PreparedVideo:
-        """The video's environment rows and each attention stream's selection."""
-        env, args = self._pack(seq)
-        return PreparedVideo(env, {name: attention.select(*args[name])
-                                   for name, attention, _ in self._attentions()})
-
-    def forward(self, prepared: PreparedVideo) -> Tensor:
-        """``video`` from a prepared video: the same matrix, running only what trains."""
-        fused, _ = self._encode(prepared.environment, lambda name, attention: attention.fuse(
-            prepared.selections[name]))
-        return T.transpose(fused)
+    def snippet_with_info(self, bundle: SnippetBundle) -> tuple[Tensor, dict[str, SelectionInfo]]:
+        """One snippet's (feature_dim,) vector and its per-stream selections."""
+        fused, info = self._encode(self.prepare(
+            VideoFeatureSequence.from_snippets("snippet", 1, [bundle])))
+        return T.reshape(fused, (-1,)), info

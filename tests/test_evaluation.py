@@ -194,6 +194,18 @@ class TestRecall:
         values = recall_at_budget(proposals, gt, 5, DEFAULT_TIOUS)
         assert all(values[i] >= values[i + 1] for i in range(len(values) - 1))
 
+    @pytest.mark.parametrize("bad", [Proposal(0.0, np.nan, 0.5), Proposal(-np.inf, 5.0, 0.5),
+                                     Proposal(1.0, 2.0, np.nan)])
+    def test_non_finite_proposal_raises(self, bad):
+        # a proposal ending at NaN was scored as a miss, without an error; the
+        # check covers the proposals past the budget too
+        proposals = {"v": [Proposal(0.0, 5.0, 0.9), bad]}
+        gt = {"v": np.array([[0.0, 5.0]])}
+        for score in (lambda: recall_at_budget(proposals, gt, 1, (0.5,)),
+                      lambda: average_recall(proposals, gt, 10)):
+            with pytest.raises(DegenerateInputError, match="video v"):
+                score()
+
     def test_average_recall_is_threshold_mean(self):
         proposals = {"a": _proposals([(0.0, 4.0, 0.9)])}
         gt = {"a": np.array([[0.0, 4.2]])}

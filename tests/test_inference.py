@@ -455,6 +455,65 @@ class TestSuppressRows:
         got = suppress(rows, suppression_preset(preset))
         assert got[0].tolist() == [-4e307, 4e307, 0.9] and np.isfinite(got).all()
 
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_rows_whose_union_overflows_rejected(self, preset):
+        # the rows' IoU is 0.5625, but the pick's union summed lengths of 1.6e308
+        # and 0.9e308 and overflowed with a RuntimeWarning inside the pick loop
+        rows = np.array([[-8e307, 8e307, 0.9], [-1e307, 8e307, 0.5]])
+        with pytest.raises(DegenerateInputError, match="too wide a range"):
+            suppress(rows, suppression_preset(preset))
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_pick_too_short_for_its_distance_term(self, preset):
+        # a pick 1e-300 long inside a row 1e10 long: the centre gap over the
+        # pick's length overflowed under anet-tad-snms
+        rows = np.array([[0.0, 1e-300, 0.9], [0.0, 1e10, 0.5]])
+        cfg = suppression_preset(preset)
+        if isinstance(cfg, HardSuppressionConfig):
+            # no distance term; an IoU of 1e-310 suppresses nothing
+            assert suppress(rows, cfg).tolist() == rows.tolist()
+        else:
+            with pytest.raises(DegenerateInputError, match="too wide a range"):
+                suppress(rows, cfg)
+
+    def test_offset_and_distance_term_that_overflow_together_rejected(self):
+        # either term alone is finite, but their sum (-1.7e308 - 2.5e307)
+        # overflowed in the pick's threshold
+        cfg = SoftSuppressionConfig(sigma=0.4, overlap_offset=-1.7e308, distance_weight=-1.0)
+        rows = np.array([[0.0, 2e-298, 0.9], [0.0, 1e10, 0.5]])
+        with pytest.raises(DegenerateInputError, match="too wide a range"):
+            suppress(rows, cfg)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_huge_scores_do_not_count_in_the_span(self, preset):
+        rows = np.array([[0.0, 1.0, 1.5e308], [5.0, 6.0, 1e308]])
+        assert suppress(rows, suppression_preset(preset)).tolist() == rows.tolist()
+
+    def test_extreme_rows_raise_or_suppress_without_overflow(self):
+        # coordinates from 1e-320 to 1e308 in size, either sign, some rows
+        # reversed, the last row starting where the first does; the suite's
+        # filter fails any RuntimeWarning
+        cfgs = [suppression_preset(name) for name in PRESET_NAMES] + [
+            SoftSuppressionConfig(sigma=0.3, overlap_offset=-0.5, distance_weight=-2.0),
+            SoftSuppressionConfig(sigma=0.3, distance_weight=3.0)]
+        rejected = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 6))
+            coords = 10.0 ** rng.uniform(-320, 308.2, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2))
+            if seed % 2:
+                coords.sort(axis=1)
+            coords[-1, 0] = coords[0, 0]
+            rows = np.column_stack([coords, rng.uniform(0, 1, n)])
+            for cfg in cfgs:
+                try:
+                    got = suppress(rows, cfg)
+                except DegenerateInputError:
+                    rejected += 1
+                    continue
+                assert got.shape[1] == 3 and len(got) <= n
+        assert 0 < rejected < 300 * len(cfgs)
+
     def test_empty_rows(self):
         got = suppress(np.zeros((0, 3)), suppression_preset("anet-tapg-snms"))
         assert got.shape == (0, 3)

@@ -211,7 +211,8 @@ class TestVideoMatchesLoopOracle:
 
 
 class TestPreparedVideo:
-    """``forward(prepare(seq))`` is ``video(seq)``, values and gradients, bit for bit."""
+    """One prepared video forwarded twice matches a fresh ``video(seq)``, values,
+    tape length and gradients, bit for bit: a selection is reusable across steps."""
 
     @pytest.mark.parametrize("mode", ["adaptive", "soft", "hard"])
     @pytest.mark.parametrize("streams", STREAMS,

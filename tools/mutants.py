@@ -47,6 +47,9 @@ TESTS = {
     "src/tapgkit/data/annotations.py": ("tests/test_annotations.py",),
     "src/tapgkit/data/features.py": ("tests/test_features.py", "tests/test_files.py"),
     "src/tapgkit/data/synthetic.py": ("tests/test_synthetic.py",),
+    "src/tapgkit/model.py": ("tests/test_model.py", "tests/test_representation.py"),
+    "src/tapgkit/autodiff/checkpoint.py": ("tests/test_checkpoint.py", "tests/test_files.py"),
+    "src/tapgkit/autodiff/optim.py": ("tests/test_optim.py",),
 }
 
 _COMPARE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
