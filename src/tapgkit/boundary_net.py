@@ -51,7 +51,7 @@ import numpy as np
 from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.layers import Conv1d, Conv2d, Module, glorot_uniform
 from tapgkit.autodiff.tensor import Tensor
-from tapgkit.errors import ConfigError, ShapeError
+from tapgkit.errors import ConfigError, ShapeError, check_whole
 
 
 @dataclass
@@ -70,6 +70,7 @@ class BoundaryNetConfig:
         return self.num_snippets if self.max_duration is None else self.max_duration
 
     def validate(self) -> None:
+        check_whole(self)
         if self.feature_dim <= 0 or self.num_snippets <= 0:
             raise ConfigError("feature_dim and num_snippets must be positive")
         if not (1 <= self.resolved_max_duration() <= self.num_snippets):

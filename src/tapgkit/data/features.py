@@ -1,39 +1,32 @@
 """Per-snippet multi-stream features and their binary file format.
 
 Each video is summarized by T snippets sampled every ``snippet_stride``
-frames. A snippet carries three streams: one environment vector (global
-context, width d_e), a variable-size stack of actor vectors (M x d_a), and a
-variable-size stack of object vectors (K x d_o). M and K may be zero.
+frames. A snippet carries one environment vector (width d_e) and
+variable-size stacks of actor (M x d_a) and object (K x d_o) vectors; M and
+K may be zero. A ``VideoFeatureSequence`` holds them packed: ``environment``
+is (T, d_e), ``actors`` (R_a, d_a) and ``objects`` (R_o, d_o) hold every
+snippet's rows one after another, and ``actor_counts`` and
+``object_counts`` give each snippet's number of rows. ``snippets`` shows
+the same data as one ``SnippetBundle`` of read-only views per snippet, and
+``from_snippets`` packs a hand-built list of bundles.
 
-A ``VideoFeatureSequence`` holds a video's streams packed, built once where
-the video enters the program: ``environment`` is (T, d_e), ``actors`` is
-(R_a, d_a) with every snippet's rows one after another, ``objects`` is
-(R_o, d_o) likewise, and ``actor_counts`` and ``object_counts`` give each
-snippet's number of rows. ``snippets`` shows the same data as one
-``SnippetBundle`` of read-only views per snippet, and ``from_snippets``
-packs a hand-built list of bundles.
-
-File layout (magic b"TAPGFEA1", integers little-endian u32, values
-little-endian float32):
-
-    magic    8 bytes
-    header   u32 T, d_e, d_a, d_o, snippet_stride
-    snippet* u32 M, u32 K,
-             d_e floats (environment),
-             M * d_a floats (actors, row-major),
-             K * d_o floats (objects, row-major)
-
-Every field is four bytes wide, so the body after the header is a run of
-words. The reader walks the T (M, K) pairs to find each snippet's extent,
-labels every word of the body with the part it belongs to, and takes each
-stream in one gather.
-
-Feature files sit one per video in a directory, named ``<video_id>.feat``.
+A feature file, ``<video_id>.feat``, holds those fields in order, one block
+each, little-endian: magic b"TAPGFEA2"; u32 T, d_e, d_a, d_o and
+snippet_stride; the (T, 2) u32 (M, K) counts; the environment, actor and
+object float32 blocks, row-major; and a u32 ``zlib.crc32`` of every byte
+before it. The reader checks the structure first (a short block, trailing
+bytes or a zero width name the file), then the checksum, so a flipped
+payload bit fails instead of loading. A version-1 file
+(b"TAPGFEA1", the streams interleaved snippet by snippet) raises
+``FileFormatError`` saying to regenerate it. The writer uses
+``Path.write_bytes``, not ``files.write_atomic``: ``synth`` can always write
+a corpus again, and an fsync per video would add to every run's set-up.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +35,7 @@ import numpy as np
 from tapgkit.errors import FileFormatError, ShapeError
 from tapgkit.files import ByteCursor
 
-MAGIC = b"TAPGFEA1"
+MAGIC = b"TAPGFEA2"
 FILE_SUFFIX = ".feat"
 
 
@@ -132,49 +125,41 @@ class VideoFeatureSequence:
 
 def save_features(path, seq: VideoFeatureSequence) -> None:
     seq.validate()
-    d_e, d_a, d_o = seq.dims()
-    streams = [np.ascontiguousarray(a, dtype="<f4")
-               for a in (seq.environment, seq.actors, seq.objects)]
-    chunks = [MAGIC, struct.pack("<5I", seq.num_snippets, d_e, d_a, d_o, seq.snippet_stride)]
-    a = o = 0
-    for env, m, k in zip(streams[0], seq.actor_counts.tolist(), seq.object_counts.tolist()):
-        chunks.append(struct.pack("<2I", m, k))
-        chunks.append(env.tobytes())
-        chunks.append(streams[1][a:a + m].tobytes())
-        chunks.append(streams[2][o:o + k].tobytes())
-        a, o = a + m, o + k
-    Path(path).write_bytes(b"".join(chunks))
+    counts = np.column_stack([seq.actor_counts, seq.object_counts]).astype("<u4")
+    blob = b"".join([MAGIC, struct.pack("<5I", seq.num_snippets, *seq.dims(),
+                                        seq.snippet_stride), counts.tobytes(),
+                     *(np.ascontiguousarray(a, dtype="<f4").tobytes()
+                       for a in (seq.environment, seq.actors, seq.objects))])
+    Path(path).write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
 def load_features(path, video_id: str | None = None) -> VideoFeatureSequence:
-    cursor = ByteCursor(path, MAGIC, "feature file")
+    cursor = ByteCursor(path, MAGIC[:-1], "feature file")
+    version = bytes(cursor.take(1))
+    if version == b"1":
+        raise FileFormatError(f"{cursor.path}: feature file version 1 is no longer read; "
+                              f"regenerate the corpus with `tapgkit synth`")
+    if version != MAGIC[-1:]:
+        raise FileFormatError(f"{cursor.path}: not a feature file (bad magic)")
     num_snippets, d_e, d_a, d_o, stride = cursor.unpack("<5I")
     if num_snippets == 0 or stride == 0:
         raise FileFormatError(f"{cursor.path}: header declares zero snippets or zero stride")
     if 0 in (d_e, d_a, d_o):
         raise FileFormatError(f"{cursor.path}: header declares a stream of width 0 "
                               f"(d_e={d_e}, d_a={d_a}, d_o={d_o})")
-    body = cursor.pos
-    counts = []
-    for _ in range(num_snippets):
-        m, k = cursor.unpack("<2I")
-        cursor.take(4 * (d_e + m * d_a + k * d_o))
-        counts += m, k
+    counts = np.frombuffer(cursor.take(8 * num_snippets), "<u4").reshape(-1, 2).astype(np.int64)
+    # Python ints, so a corrupt count times a width cannot wrap: take() calls it a truncation
+    rows = [num_snippets, *(int(n) for n in counts.sum(axis=0))]
+    streams = [np.frombuffer(cursor.take(4 * n * d), dtype="<f4").reshape(n, d).copy()
+               for n, d in zip(rows, (d_e, d_a, d_o))]
+    end = cursor.pos
+    (stored,) = cursor.unpack("<I")
     cursor.finish()
-    # label each word of the body: 0 for an (M, K) pair, 1 for the environment,
-    # 2 for an actor and 3 for an object value; each count times its width
-    # fits in int64, since the walk found that many floats in the file
-    pairs = np.array(counts, dtype=np.int64).reshape(num_snippets, 2)
-    sizes = np.empty((num_snippets, 4), dtype=np.int64)
-    sizes[:, 0], sizes[:, 1], sizes[:, 2:] = 2, d_e, pairs * (d_a, d_o)
-    part = np.repeat(np.tile(np.arange(4, dtype=np.int8), num_snippets), sizes.ravel())
-    words = np.frombuffer(cursor.view, dtype="<f4", offset=body)
-    return VideoFeatureSequence(
-        video_id or cursor.path.stem, stride,
-        words[part == 1].reshape(num_snippets, d_e),
-        words[part == 2].reshape(-1, d_a),
-        words[part == 3].reshape(-1, d_o),
-        pairs[:, 0], pairs[:, 1])
+    if stored != zlib.crc32(cursor.view[:end]):
+        raise FileFormatError(f"{cursor.path}: checksum at byte {end} does not match "
+                              f"the feature file")
+    return VideoFeatureSequence(video_id or cursor.path.stem, stride, *streams,
+                                counts[:, 0], counts[:, 1])
 
 
 def feature_path(directory, video_id: str) -> Path:

@@ -25,6 +25,7 @@ the signal is added to whole arrays afterwards, and the video becomes one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from tapgkit.data.features import (
     load_features,
     save_features,
 )
-from tapgkit.errors import ConfigError
+from tapgkit.errors import ConfigError, check_whole
 from tapgkit.object_vocab import EmbeddedVocabulary, save_vocabulary
 
 CLASS_WORDS = ("swing", "lift", "throw", "kick", "spin", "fold", "pour", "wave")
@@ -70,10 +71,15 @@ class SyntheticConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_whole(self)
         if self.num_videos <= 0 or self.num_snippets <= 0 or self.snippet_stride <= 0:
             raise ConfigError("num_videos, num_snippets, snippet_stride must be positive")
-        if self.fps <= 0:
-            raise ConfigError("fps must be positive")
+        if min(self.env_dim, self.actor_dim, self.object_dim) <= 0:
+            raise ConfigError("env_dim, actor_dim and object_dim must be positive")
+        # NaN fails every comparison; the duration, frames / fps, must be finite
+        frames = self.num_snippets * self.snippet_stride
+        if not 0 < self.fps < math.inf or math.isinf(frames / self.fps):
+            raise ConfigError(f"fps must be positive with frames / fps finite, not {self.fps}")
         if not (1 <= self.min_action_len <= self.max_action_len):
             raise ConfigError("need 1 <= min_action_len <= max_action_len")
         if self.max_action_len > self.num_snippets - 2:
@@ -84,8 +90,10 @@ class SyntheticConfig:
             raise ConfigError(f"num_classes must be in [1, {len(CLASS_WORDS)}]")
         if self.max_actors < 1 or self.objects_per_snippet < 1:
             raise ConfigError("max_actors and objects_per_snippet must be at least 1")
-        if self.signal <= 0 or self.noise < 0:
-            raise ConfigError("signal must be positive and noise non-negative")
+        # at most 1e6, so a scale times a unit or normal draw stays far inside float32
+        if not (0 < self.signal <= 1e6 and 0 <= self.noise <= 1e6):
+            raise ConfigError(f"signal must be positive and noise non-negative, each at "
+                              f"most 1e6, not {self.signal} and {self.noise}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 

@@ -1,4 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one whole-number rule
+that every config's ``validate`` applies to its counts and widths."""
+
+import dataclasses
+import functools
+import numbers
+import typing
 
 
 class TapgkitError(Exception):
@@ -31,3 +37,22 @@ class AnnotationError(TapgkitError, ValueError):
 
 class ConfigError(TapgkitError, ValueError):
     """A run configuration is missing keys or holds invalid values."""
+
+
+@functools.cache     # get_type_hints takes about 50 us, and suppress validates per video
+def _whole_fields(cls) -> tuple[str, ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple(f.name for f in dataclasses.fields(cls)
+                 if hints[f.name] in (int, int | None, tuple[int, ...]))
+
+
+def check_whole(cfg) -> None:
+    """Raise ``ConfigError`` unless every field of the config dataclass ``cfg``
+    declared ``int`` (or ``int | None``, or ``tuple[int, ...]``) holds whole
+    numbers: ints or numpy integers, never a float or a bool. The INI loader
+    parses such fields with ``int()``; this holds the Python API to it."""
+    for name in _whole_fields(type(cfg)):
+        value = getattr(cfg, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+                raise ConfigError(f"{name} must be a whole number, not {v!r}")

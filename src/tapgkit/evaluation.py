@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tapgkit.errors import DegenerateInputError, EmptyInputError, ShapeError
+from tapgkit.errors import DegenerateInputError, EmptyInputError, ShapeError, check_whole
 
 log = logging.getLogger("tapgkit.evaluation")
 
@@ -66,6 +66,7 @@ class EvalConfig:
     report_budgets: tuple[int, ...] = (1, 5, 10, 100)
 
     def validate_curve(self) -> None:
+        check_whole(self)
         if not self.tious or any(not (0.0 < t <= 1.0) for t in self.tious):
             raise ShapeError("overlap thresholds must lie in (0, 1]")
         if self.max_budget < 2:

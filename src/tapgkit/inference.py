@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -42,6 +41,7 @@ from tapgkit.errors import (
     DegenerateInputError,
     EmptyInputError,
     FileFormatError,
+    check_whole,
 )
 from tapgkit.evaluation import Detection
 from tapgkit.files import number, pair, write_atomic
@@ -101,10 +101,10 @@ def pair_candidates(output: BoundaryNetOutput) -> np.ndarray:
 # suppression
 # ---------------------------------------------------------------------------
 
-def _check_max_keep(max_keep) -> None:
-    if isinstance(max_keep, bool) or not isinstance(max_keep, numbers.Integral) \
-            or max_keep < 1:
-        raise ConfigError(f"max_keep must be at least 1 and a whole number, not {max_keep!r}")
+def _check_max_keep(cfg) -> None:
+    check_whole(cfg)
+    if cfg.max_keep < 1:
+        raise ConfigError(f"max_keep must be at least 1, not {cfg.max_keep!r}")
 
 
 @dataclass
@@ -119,9 +119,10 @@ class SoftSuppressionConfig:
         for name in ("sigma", "overlap_offset", "distance_weight", "score_floor"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, not {getattr(self, name)}")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        _check_max_keep(self.max_keep)
+        # an IoU is at most 1, so IoU / sigma stays finite exactly when 1 / sigma does
+        if not (self.sigma > 0 and math.isfinite(1.0 / self.sigma)):
+            raise ConfigError(f"sigma must be positive with 1 / sigma finite, not {self.sigma}")
+        _check_max_keep(self)
 
 
 @dataclass
@@ -132,7 +133,7 @@ class HardSuppressionConfig:
     def validate(self) -> None:
         if not (0.0 < self.threshold <= 1.0):
             raise ConfigError("suppression threshold must lie in (0, 1]")
-        _check_max_keep(self.max_keep)
+        _check_max_keep(self)
 
 
 PRESETS: dict[str, SoftSuppressionConfig | HardSuppressionConfig] = {

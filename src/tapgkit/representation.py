@@ -49,7 +49,7 @@ from tapgkit.autodiff import tensor as T
 from tapgkit.autodiff.layers import Linear, Module, SelfAttentionEncoder
 from tapgkit.autodiff.tensor import Tensor
 from tapgkit.data.features import SnippetBundle, VideoFeatureSequence
-from tapgkit.errors import ConfigError
+from tapgkit.errors import ConfigError, check_whole
 
 
 @dataclass
@@ -65,6 +65,7 @@ class RepresentationConfig:
     use_objects: bool = True
 
     def validate(self) -> None:
+        check_whole(self)
         if min(self.env_dim, self.actor_dim, self.object_dim, self.feature_dim,
                self.attention_hidden) <= 0:
             raise ConfigError("all representation widths must be positive")

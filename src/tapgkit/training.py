@@ -33,6 +33,7 @@ from tapgkit.errors import (
     EmptyInputError,
     FileFormatError,
     ShapeError,
+    check_whole,
 )
 from tapgkit.evaluation import interval_iou
 from tapgkit.model import ProposalModel
@@ -212,13 +213,14 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_whole(self)
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
-        if not (0 < self.learning_rate < np.inf):
-            raise ConfigError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not (0 <= self.mse_weight < np.inf):
-            raise ConfigError(f"mse_weight must be non-negative and finite, got {self.mse_weight}")
+        top = float(np.finfo(np.float32).max)   # both scale float32 arrays
+        if not (0 < self.learning_rate <= top):
+            raise ConfigError(f"learning_rate must be a positive float32, got {self.learning_rate}")
+        if not (0 <= self.mse_weight <= top):
+            raise ConfigError(f"mse_weight must be a non-negative float32, got {self.mse_weight}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 

@@ -173,6 +173,20 @@ class TestValidation:
         with pytest.raises(AnnotationError):
             _video(frame_count=0).validate()
 
+    @pytest.mark.parametrize("field", ["duration", "fps", "frame_count"])
+    def test_each_metadata_bound_itself(self, field):
+        # 0 is refused, and the least positive value of each kind is accepted
+        with pytest.raises(AnnotationError, match="must be positive"):
+            _video(annotations=[], **{field: 0}).validate()
+        _video(annotations=[], **{field: 1 if field == "frame_count" else 0.5}).validate()
+
+    def test_segment_bounds_themselves(self):
+        for start, end in [(0.0, 2.0), (3.0, 24.0), (3.0, 24.0 + 1e-9)]:
+            _video(annotations=[ActionInstance(start, end, "x")]).validate()
+        for start, end in [(2.0, 2.0), (-1e-9, 2.0), (3.0, 24.0 + 1e-8)]:
+            with pytest.raises(AnnotationError):
+                _video(annotations=[ActionInstance(start, end, "x")]).validate()
+
 
 class TestRescale:
     def test_unit_factor_case(self):
@@ -205,6 +219,20 @@ class TestRescale:
         got = rescale_action(start, end, frame_count, fps, num_snippets)
         factor = num_snippets * fps / frame_count
         np.testing.assert_allclose(got, (start * factor, end * factor), rtol=1e-12)
+
+    @pytest.mark.parametrize("at", range(3))
+    def test_each_extent_bound_itself(self, at):
+        # frame_count, fps, num_snippets: 0 is refused, the least positive value works
+        extents = [100, 8.0, 10]
+        with pytest.raises(AnnotationError, match="must be positive"):
+            rescale_action(1.0, 2.0, *extents[:at], 0, *extents[at + 1:])
+        least = [1, 0.5, 1][at]
+        got = rescale_action(1.0, 2.0, *extents[:at], least, *extents[at + 1:])
+        assert got[1] == 2 * got[0] > 0
+
+    def test_empty_action_rejected(self):
+        with pytest.raises(AnnotationError, match="start < end"):
+            rescale_action(2.0, 2.0, 100, 8.0, 10)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(AnnotationError):

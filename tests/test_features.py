@@ -3,6 +3,7 @@ packed layout of a video's streams."""
 
 import dataclasses
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -150,12 +151,14 @@ class TestCorruption:
 
     @pytest.mark.parametrize("cut", ["pair", "environment", "actors", "objects"])
     def test_truncation_inside_each_part_names_the_file(self, tmp_path, cut):
-        # one snippet: M = 1, K = 1 and widths (2, 3, 4) -> pair 8, then 8 + 12 + 16 bytes
+        # one snippet: M = 1, K = 1 and widths (2, 3, 4) -> pair 8, then 8 + 12 + 16
+        # bytes, then the 4-byte checksum
         path = tmp_path / "x.feat"
         save_features(path, VideoFeatureSequence.from_snippets("x", 4, [SnippetBundle(
             np.ones(2, np.float32), np.ones((1, 3), np.float32), np.ones((1, 4), np.float32))]))
         blob = path.read_bytes()
-        assert len(blob) == 28 + 8 + 8 + 12 + 16
+        assert blob == _v2_bytes((1, 2, 3, 4, 4), [(1, 1)], np.ones(2), np.ones(3), np.ones(4))
+        assert len(blob) == 28 + 8 + 8 + 12 + 16 + 4
         keep = {"pair": 32, "environment": 40, "actors": 52, "objects": 64}[cut]
         path.write_bytes(blob[:keep])
         with pytest.raises(FileFormatError, match=r"x\.feat: truncated feature file"):
@@ -170,14 +173,23 @@ class TestCorruption:
             load_features(path)
 
 
+def _v2_bytes(header, pairs, environment, actors, objects):
+    """A TAPGFEA2 file written by hand: magic, the five header numbers, the
+    (M, K) pairs, the three float blocks, then the CRC of all of them."""
+    body = MAGIC + struct.pack("<5I", *header) + b"".join(
+        struct.pack("<2I", m, k) for m, k in pairs) + b"".join(
+        np.asarray(a, dtype="<f4").tobytes() for a in (environment, actors, objects))
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def _oracle_bytes(seq):
-    """The file layout, written snippet by snippet from the per-snippet views."""
-    d_e, d_a, d_o = seq.dims()
-    out = MAGIC + struct.pack("<5I", seq.num_snippets, d_e, d_a, d_o, seq.snippet_stride)
-    for s in seq.snippets:
-        out += struct.pack("<2I", len(s.actors), len(s.objects))
-        out += b"".join(a.astype("<f4").tobytes() for a in (s.environment, s.actors, s.objects))
-    return out
+    """The file layout, written from the per-snippet views."""
+    snippets = seq.snippets
+    return _v2_bytes((seq.num_snippets, *seq.dims(), seq.snippet_stride),
+                     [(len(s.actors), len(s.objects)) for s in snippets],
+                     np.stack([s.environment for s in snippets]),
+                     np.concatenate([s.actors for s in snippets]),
+                     np.concatenate([s.objects for s in snippets]))
 
 
 def _random_sequence(rng, edge=False):

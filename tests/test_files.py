@@ -2,8 +2,9 @@
 
 A mutated file must either raise a ``TapgkitError`` subclass or load to
 exactly the values it holds: a JSON number is an int or a float and not a
-bool, a segment has exactly two entries, and a binary file saves back to the
-same bytes.
+bool, a segment has exactly two entries, and a checkpoint saves back to the
+same bytes. A feature file checks itself, so every mutation of one must
+raise ``FileFormatError``.
 """
 
 import copy
@@ -219,25 +220,74 @@ class TestMutations:
         _mutate_binary(rng, tmp_path / "model.tapg", resaved)
 
     def test_features(self, tmp_path):
-        rng = np.random.default_rng(19)
-        f32 = np.float32
-        save_features(tmp_path / "vid.feat", VideoFeatureSequence.from_snippets("vid", 8, [
-            SnippetBundle(rng.standard_normal(3).astype(f32),
-                          rng.standard_normal((m, 2)).astype(f32),
-                          rng.standard_normal((k, 4)).astype(f32))
-            for m, k in [(1, 2), (0, 1), (2, 0)]]))
-
-        def resaved(path):
-            save_features(tmp_path / "resaved.feat", load_features(path))
-            return (tmp_path / "resaved.feat").read_bytes()
-
-        _mutate_binary(rng, tmp_path / "vid.feat", resaved)
+        # a v2 feature file ends in a CRC of every byte before it, so no
+        # mutation may load: every one raises FileFormatError naming the file
+        original = _feature_file(tmp_path / "vid.feat").read_bytes()
+        mutated = tmp_path / "mutated.feat"
+        for blob in _mutations(np.random.default_rng(19), original):
+            mutated.write_bytes(blob)
+            with pytest.raises(FileFormatError, match=r"mutated\.feat"):
+                load_features(mutated)
 
 
-def _mutate_binary(rng, path, resaved):
-    """Byte-level mutations; an accepted file must save back to the same bytes."""
-    original = path.read_bytes()
-    mutated = path.with_name("mutated" + path.suffix)
+def _feature_file(path):
+    """Three snippets with (M, K) = (1, 2), (0, 1), (2, 0) and widths (3, 2, 4)."""
+    rng = np.random.default_rng(19)
+    f32 = np.float32
+    save_features(path, VideoFeatureSequence.from_snippets("vid", 8, [
+        SnippetBundle(rng.standard_normal(3).astype(f32),
+                      rng.standard_normal((m, 2)).astype(f32),
+                      rng.standard_normal((k, 4)).astype(f32))
+        for m, k in [(1, 2), (0, 1), (2, 0)]]))
+    return path
+
+
+# the byte ranges of ``_feature_file``'s parts: 8 magic, 20 header, 3 (M, K)
+# pairs, 3 x 3 environment, 3 x 2 actor and 3 x 4 object floats, 4 checksum
+_FEATURE_PARTS = {"header": (8, 28), "counts": (28, 52), "environment": (52, 88),
+                  "actors": (88, 112), "objects": (112, 160), "checksum": (160, 164)}
+
+
+class TestFeatureFileChecks:
+    @pytest.mark.parametrize("part", list(_FEATURE_PARTS))
+    def test_one_bit_flip_in_each_part_names_the_file(self, tmp_path, part):
+        path = _feature_file(tmp_path / "vid.feat")
+        blob = bytearray(path.read_bytes())
+        assert len(blob) == _FEATURE_PARTS["checksum"][1]
+        rng = np.random.default_rng(list(_FEATURE_PARTS).index(part))
+        for _ in range(8):
+            flipped = bytearray(blob)
+            flipped[int(rng.integers(*_FEATURE_PARTS[part]))] ^= 1 << int(rng.integers(8))
+            path.write_bytes(flipped)
+            with pytest.raises(FileFormatError, match=r"vid\.feat: "):
+                load_features(path)
+
+    def test_payload_flip_fails_on_the_checksum(self, tmp_path):
+        path = _feature_file(tmp_path / "vid.feat")
+        blob = bytearray(path.read_bytes())
+        blob[100] ^= 0x01
+        path.write_bytes(blob)
+        with pytest.raises(FileFormatError, match=r"vid\.feat: checksum at byte 160"):
+            load_features(path)
+
+    def test_version_1_file_says_to_regenerate(self, tmp_path):
+        path = _feature_file(tmp_path / "vid.feat")
+        path.write_bytes(b"TAPGFEA1" + path.read_bytes()[8:])
+        with pytest.raises(FileFormatError,
+                           match=r"vid\.feat: feature file version 1 .*tapgkit synth"):
+            load_features(path)
+
+    @pytest.mark.parametrize("magic", [b"TAPGFEA3", b"TAPGFEB2", b"tapgfea2"])
+    def test_other_magic_is_not_a_feature_file(self, tmp_path, magic):
+        path = _feature_file(tmp_path / "vid.feat")
+        path.write_bytes(magic + path.read_bytes()[8:])
+        with pytest.raises(FileFormatError, match=r"vid\.feat: not a feature file"):
+            load_features(path)
+
+
+def _mutations(rng, original):
+    """MUTATIONS seeded byte-level changes of ``original``; the ones that
+    leave it as it was (a word overwritten with itself) are dropped."""
     for _ in range(MUTATIONS):
         blob = bytearray(original)
         at = int(rng.integers(len(blob)))
@@ -253,8 +303,16 @@ def _mutate_binary(rng, path, resaved):
             blob[at:at] = rng.integers(256, size=int(rng.integers(1, 9))).astype(np.uint8).tobytes()
         else:
             del blob[at:]
+        if blob != original:
+            yield bytes(blob)
+
+
+def _mutate_binary(rng, path, resaved):
+    """Byte-level mutations; an accepted file must save back to the same bytes."""
+    mutated = path.with_name("mutated" + path.suffix)
+    for blob in _mutations(rng, path.read_bytes()):
         mutated.write_bytes(blob)
         try:
-            assert resaved(mutated) == bytes(blob)
+            assert resaved(mutated) == blob
         except TapgkitError:
             pass

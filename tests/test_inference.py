@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -307,6 +308,24 @@ class TestSuppressionBounds:
     def test_zero_sigma_rejected(self):
         with pytest.raises(ConfigError, match="sigma"):
             SoftSuppressionConfig(sigma=0.0).validate()
+
+    @pytest.mark.parametrize("preset", ["anet-tapg-snms", "thumos-tapg-snms",
+                                        "anet-tad-snms"])
+    def test_subnormal_sigma_rejected(self, preset):
+        # sigma = 1e-320 validated, then IoU / sigma overflowed inside suppress;
+        # 1 / sys.float_info.max is subnormal too, and 1 over it is inf
+        rows = np.array([[0.0, 2.0, 0.9], [0.5, 2.5, 0.5]])
+        for bad in (1e-320, 5e-324, 1 / sys.float_info.max):
+            cfg = dataclasses.replace(suppression_preset(preset), sigma=bad)
+            with pytest.raises(ConfigError, match="sigma"):
+                cfg.validate()
+            with pytest.raises(ConfigError, match="sigma"):
+                suppress(rows, cfg)
+        # the smallest sigma with a finite 1 / sigma decays an overlap to 0
+        cfg = dataclasses.replace(suppression_preset(preset),
+                                  sigma=float(np.nextafter(1 / sys.float_info.max, 1)))
+        cfg.validate()
+        assert suppress([[0.0, 2.0, 0.9], [0.1, 2.1, 0.5]], cfg)[:, 2].tolist() == [0.9]
 
     def test_zero_hard_threshold_rejected(self):
         with pytest.raises(ConfigError, match="threshold"):

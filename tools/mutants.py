@@ -50,6 +50,7 @@ TESTS = {
     "src/tapgkit/model.py": ("tests/test_model.py", "tests/test_representation.py"),
     "src/tapgkit/autodiff/checkpoint.py": ("tests/test_checkpoint.py", "tests/test_files.py"),
     "src/tapgkit/autodiff/optim.py": ("tests/test_optim.py",),
+    "src/tapgkit/errors.py": ("tests/test_boundaries.py",),
 }
 
 _COMPARE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
