@@ -10,15 +10,14 @@ snippet's rows one after another, and ``actor_counts`` and
 the same data as one ``SnippetBundle`` of read-only views per snippet, and
 ``from_snippets`` packs a hand-built list of bundles.
 
-A feature file, ``<video_id>.feat``, holds those fields in order, one block
-each, little-endian: magic b"TAPGFEA2"; u32 T, d_e, d_a, d_o and
-snippet_stride; the (T, 2) u32 (M, K) counts; the environment, actor and
-object float32 blocks, row-major; and a u32 ``zlib.crc32`` of every byte
-before it. The reader checks the structure first (a short block, trailing
-bytes or a zero width name the file), then the checksum, so a flipped
-payload bit fails instead of loading. A version-1 file
-(b"TAPGFEA1", the streams interleaved snippet by snippet) raises
-``FileFormatError`` saying to regenerate it. The writer uses
+A feature file, ``<video_id>.feat``, is sealed by ``files.seal`` and holds
+those fields in order, one block each, little-endian: magic b"TAPGFEA2";
+u32 T, d_e, d_a, d_o and snippet_stride; the (T, 2) u32 (M, K) counts; the
+environment, actor and object float32 blocks, row-major; and the trailing
+CRC. ``files.ByteCursor`` checks the structure first (a short block,
+trailing bytes or a zero width name the file), then the checksum, and
+refuses a version-1 file (b"TAPGFEA1", the streams interleaved snippet by
+snippet) with ``FileFormatError`` saying to regenerate it. The writer uses
 ``Path.write_bytes``, not ``files.write_atomic``: ``synth`` can always write
 a corpus again, and an fsync per video would add to every run's set-up.
 """
@@ -26,14 +25,13 @@ a corpus again, and an fsync per video would add to every run's set-up.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from tapgkit.errors import FileFormatError, ShapeError
-from tapgkit.files import ByteCursor
+from tapgkit.files import ByteCursor, seal
 
 MAGIC = b"TAPGFEA2"
 FILE_SUFFIX = ".feat"
@@ -126,38 +124,24 @@ class VideoFeatureSequence:
 def save_features(path, seq: VideoFeatureSequence) -> None:
     seq.validate()
     counts = np.column_stack([seq.actor_counts, seq.object_counts]).astype("<u4")
-    blob = b"".join([MAGIC, struct.pack("<5I", seq.num_snippets, *seq.dims(),
-                                        seq.snippet_stride), counts.tobytes(),
-                     *(np.ascontiguousarray(a, dtype="<f4").tobytes()
-                       for a in (seq.environment, seq.actors, seq.objects))])
-    Path(path).write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+    Path(path).write_bytes(seal([
+        MAGIC, struct.pack("<5I", seq.num_snippets, *seq.dims(), seq.snippet_stride),
+        counts.tobytes(), *(np.ascontiguousarray(a, dtype="<f4").tobytes()
+                            for a in (seq.environment, seq.actors, seq.objects))]))
 
 
 def load_features(path, video_id: str | None = None) -> VideoFeatureSequence:
-    cursor = ByteCursor(path, MAGIC[:-1], "feature file")
-    version = bytes(cursor.take(1))
-    if version == b"1":
-        raise FileFormatError(f"{cursor.path}: feature file version 1 is no longer read; "
-                              f"regenerate the corpus with `tapgkit synth`")
-    if version != MAGIC[-1:]:
-        raise FileFormatError(f"{cursor.path}: not a feature file (bad magic)")
+    cursor = ByteCursor(path, MAGIC, "feature file", "regenerate the corpus with `tapgkit synth`")
     num_snippets, d_e, d_a, d_o, stride = cursor.unpack("<5I")
     if num_snippets == 0 or stride == 0:
         raise FileFormatError(f"{cursor.path}: header declares zero snippets or zero stride")
     if 0 in (d_e, d_a, d_o):
         raise FileFormatError(f"{cursor.path}: header declares a stream of width 0 "
                               f"(d_e={d_e}, d_a={d_a}, d_o={d_o})")
-    counts = np.frombuffer(cursor.take(8 * num_snippets), "<u4").reshape(-1, 2).astype(np.int64)
-    # Python ints, so a corrupt count times a width cannot wrap: take() calls it a truncation
-    rows = [num_snippets, *(int(n) for n in counts.sum(axis=0))]
-    streams = [np.frombuffer(cursor.take(4 * n * d), dtype="<f4").reshape(n, d).copy()
-               for n, d in zip(rows, (d_e, d_a, d_o))]
-    end = cursor.pos
-    (stored,) = cursor.unpack("<I")
+    counts = cursor.array((num_snippets, 2), "<u4").astype(np.int64)
+    streams = [cursor.array((n, d), "<f4")
+               for n, d in zip((num_snippets, *counts.sum(axis=0)), (d_e, d_a, d_o))]
     cursor.finish()
-    if stored != zlib.crc32(cursor.view[:end]):
-        raise FileFormatError(f"{cursor.path}: checksum at byte {end} does not match "
-                              f"the feature file")
     return VideoFeatureSequence(video_id or cursor.path.stem, stride, *streams,
                                 counts[:, 0], counts[:, 1])
 

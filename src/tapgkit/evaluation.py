@@ -16,6 +16,7 @@ precision curve; a class without detections scores 0.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,11 @@ def _greedy_match_count(iou: np.ndarray, threshold: float) -> int:
     return matched
 
 
+def _check_tious(tious) -> None:
+    if not tious or any(not (0.0 < t <= 1.0) for t in tious):
+        raise ShapeError("overlap thresholds must lie in (0, 1]")
+
+
 @dataclass
 class EvalConfig:
     tious: tuple[float, ...] = DEFAULT_TIOUS
@@ -67,8 +73,7 @@ class EvalConfig:
 
     def validate_curve(self) -> None:
         check_whole(self)
-        if not self.tious or any(not (0.0 < t <= 1.0) for t in self.tious):
-            raise ShapeError("overlap thresholds must lie in (0, 1]")
+        _check_tious(self.tious)
         if self.max_budget < 2:
             raise ShapeError("max_budget must be at least 2: a curve area needs two budgets")
 
@@ -192,8 +197,14 @@ def detection_map(detections_by_video: dict[str, list[Detection]],
     ``gt_by_video`` maps video id to a list of (start, end, label) triples.
     For each class, detections are ranked by score across the corpus and
     matched greedily: a detection is correct when its best-overlap unmatched
-    same-class action in the same video reaches the threshold.
+    same-class action in the same video reaches the threshold, which must
+    lie in (0, 1]. A non-finite detection raises ``DegenerateInputError``.
     """
+    _check_tious((tiou,))
+    if not all(math.isfinite(x) for ds in detections_by_video.values() for d in ds
+               for x in (d.start, d.end, d.score)):
+        raise DegenerateInputError("detection_map needs finite detection starts, ends "
+                                   "and scores")
     labels = sorted({g[2] for gts in gt_by_video.values() for g in gts})
     if not labels:
         raise EmptyInputError("no ground-truth actions to score against")

@@ -5,9 +5,11 @@ renames it into place, so a crash or a failed write leaves either the
 previous file or the complete new one, never a truncated mix, and no
 temporary file behind.
 
-Every reader takes its rules from here: ``ByteCursor`` walks a binary file,
-and ``number``, ``count`` and ``pair`` read JSON fields, raising
-``TypeError`` that each JSON loader turns into its own typed error.
+Every reader takes its rules from here. A binary file is sealed: an 8-byte
+magic ending in its version digit, the body, then a u32 ``zlib.crc32`` of
+every byte before it; ``seal`` writes one and ``ByteCursor`` reads one.
+``number``, ``count`` and ``pair`` read JSON fields, raising ``TypeError``
+that each JSON loader turns into its own typed error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from __future__ import annotations
 import math
 import os
 import struct
+import zlib
 from pathlib import Path
+
+import numpy as np
 
 from tapgkit.errors import FileFormatError
 
@@ -37,14 +42,26 @@ def write_atomic(path, data: bytes | str) -> None:
         raise
 
 
-class ByteCursor:
-    """Bounds-checked reads over one binary file; a wrong magic, a read past
-    the end or trailing bytes raise ``FileFormatError`` naming the file."""
+def seal(parts) -> bytes:
+    """``parts`` joined, then a u32 ``zlib.crc32`` of every byte before it."""
+    blob = b"".join(parts)
+    return blob + struct.pack("<I", zlib.crc32(blob))
 
-    def __init__(self, path, magic: bytes, kind: str):
+
+class ByteCursor:
+    """Bounds-checked reads over one sealed file. A wrong magic, a read past
+    the end, trailing bytes or a checksum mismatch raise ``FileFormatError``
+    naming the file; so does an older version of ``magic`` (the same first
+    seven bytes, a lower last digit), with the ``remedy`` the caller gives."""
+
+    def __init__(self, path, magic: bytes, kind: str, remedy: str):
         self.path, self.kind = Path(path), kind
         self.view = memoryview(self.path.read_bytes())
-        if self.view[: len(magic)] != magic:
+        head = bytes(self.view[: len(magic)])
+        if head[:-1] == magic[:-1] and head[-1:].isdigit() and head[-1:] < magic[-1:]:
+            raise FileFormatError(f"{self.path}: {kind} version {head[-1:].decode()} is no "
+                                  f"longer read; {remedy}")
+        if head != magic:
             raise FileFormatError(f"{self.path}: not a {kind} (bad magic)")
         self.pos = len(magic)
 
@@ -59,11 +76,24 @@ class ByteCursor:
         """The next bytes, as many as ``fmt`` needs, unpacked by ``struct``."""
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def array(self, shape, dtype) -> np.ndarray:
+        """The next ``shape`` block of ``dtype`` as a writeable copy; its byte
+        count is a Python int, so a corrupt extent reads as a truncation."""
+        shape, dtype = tuple(int(n) for n in shape), np.dtype(dtype)
+        block = self.take(math.prod(shape) * dtype.itemsize)
+        return np.frombuffer(block, dtype).reshape(shape).copy()
+
     def finish(self) -> None:
-        """Require that every byte has been read."""
+        """Read the checksum, require that it ends the file, then check it:
+        a structural fault names its byte before a checksum can fail."""
+        end = self.pos
+        (stored,) = self.unpack("<I")
         if self.pos != len(self.view):
             raise FileFormatError(f"{self.path}: {len(self.view) - self.pos} trailing bytes "
                                   f"after the end of the {self.kind}")
+        if stored != zlib.crc32(self.view[:end]):
+            raise FileFormatError(f"{self.path}: checksum at byte {end} does not match "
+                                  f"the {self.kind}")
 
 
 def number(value) -> float:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -83,10 +84,15 @@ def boundary_candidates(values: np.ndarray) -> np.ndarray:
 
 
 def pair_candidates(output: BoundaryNetOutput) -> np.ndarray:
-    """(n, 3) float64 rows [start_index, end_index, score], start-major."""
+    """(n, 3) float64 rows [start_index, end_index, score], start-major; a
+    non-finite probability raises ``DegenerateInputError``, since no NaN
+    passes the comparisons that pick candidates."""
     p_start = np.asarray(output.start.data, dtype=np.float64)
     p_end = np.asarray(output.end.data, dtype=np.float64)
     p_grid = output.actionness_grid()
+    if not (np.isfinite(p_start).all() and np.isfinite(p_end).all()
+            and np.isfinite(p_grid).all()):
+        raise DegenerateInputError("pairing needs finite start, end and grid probabilities")
     s, e = np.meshgrid(boundary_candidates(p_start), boundary_candidates(p_end),
                        indexing="ij")
     d = e - s
@@ -294,8 +300,17 @@ def generate_proposals(output: BoundaryNetOutput, snippet_stride: int, fps: floa
 def decode_video(output: BoundaryNetOutput, snippet_stride: int, fps: float,
                  suppression: SoftSuppressionConfig | HardSuppressionConfig,
                  ) -> tuple[int, list[Proposal]]:
-    """``generate_proposals`` with the candidate count before suppression."""
-    seconds_per_snippet = snippet_stride / fps
+    """``generate_proposals`` with the candidate count before suppression. The
+    stride must be a whole number >= 1 and ``stride / fps`` finite and
+    positive, or ``DegenerateInputError`` is raised."""
+    try:
+        seconds_per_snippet = float(snippet_stride) / float(fps)
+    except (ZeroDivisionError, OverflowError):
+        seconds_per_snippet = math.nan
+    if isinstance(snippet_stride, bool) or not isinstance(snippet_stride, numbers.Integral) \
+            or snippet_stride < 1 or not 0.0 < seconds_per_snippet < math.inf:
+        raise DegenerateInputError(f"decoding needs a whole snippet_stride >= 1 and a finite, "
+                                   f"positive stride / fps, not {snippet_stride!r} / {fps!r}")
     rows = pair_candidates(output) * [seconds_per_snippet, seconds_per_snippet, 1.0]
     return len(rows), _proposals(suppress(rows, suppression))
 

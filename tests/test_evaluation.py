@@ -410,6 +410,30 @@ class TestDetectionMap:
         with pytest.raises(EmptyInputError):
             detection_map({"a": []}, {"a": []}, 0.5)
 
+    @pytest.mark.parametrize("tiou", [np.nan, 2.0, np.nextafter(1.0, 2.0), 0.0, -1.0,
+                                      np.inf])
+    def test_overlap_threshold_outside_0_1_rejected(self, tiou):
+        # one matching detection used to score 0.0 (NaN, 2.0) or 1.0 (0.0, -1.0)
+        dets = {"a": [Detection(0.0, 4.0, 0.9, "swing")]}
+        gt = {"a": [(0.0, 4.0, "swing")]}
+        with pytest.raises(ShapeError, match=r"overlap thresholds must lie in \(0, 1\]"):
+            detection_map(dets, gt, tiou)
+
+    def test_overlap_threshold_of_one_is_allowed(self):
+        dets = {"a": [Detection(0.0, 4.0, 0.9, "swing")]}
+        assert detection_map(dets, {"a": [(0.0, 4.0, "swing")]}, 1.0) == 1.0
+
+    @pytest.mark.parametrize("field", ["start", "end", "score"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_detection_rejected(self, field, bad):
+        # a lone NaN-scored detection used to score 1.0
+        det = Detection(0.0, 4.0, 0.9, "swing")
+        setattr(det, field, bad)
+        dets = {"a": [Detection(0.0, 4.0, 0.8, "swing")], "b": [det]}
+        gt = {"a": [(0.0, 4.0, "swing")]}
+        with pytest.raises(DegenerateInputError, match="finite detection"):
+            detection_map(dets, gt, 0.5)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_randomized_against_oracle(self, seed):
         rng = np.random.default_rng(seed)

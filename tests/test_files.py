@@ -1,15 +1,17 @@
 """Shared file-reading rules, and seeded mutations of every file the readers load.
 
-A mutated file must either raise a ``TapgkitError`` subclass or load to
-exactly the values it holds: a JSON number is an int or a float and not a
-bool, a segment has exactly two entries, and a checkpoint saves back to the
-same bytes. A feature file checks itself, so every mutation of one must
-raise ``FileFormatError``.
+A mutated JSON file must either raise a ``TapgkitError`` subclass or load
+to exactly the values it holds: a JSON number is an int or a float and not
+a bool, and a segment has exactly two entries. A feature file and a
+checkpoint are sealed by a checksum, so every mutation of one must raise
+``FileFormatError``.
 """
 
 import copy
 import json
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -28,20 +30,25 @@ from tapgkit.data.features import (
     save_features,
 )
 from tapgkit.errors import FileFormatError, TapgkitError
-from tapgkit.files import ByteCursor, count, number, pair
+from tapgkit.files import ByteCursor, count, number, pair, seal
 from tapgkit.inference import Proposal, load_proposals, save_proposals
 
 MUTATIONS = 400
 
 
+def _sealed(body: bytes) -> bytes:
+    """``body`` and the u32 CRC of it, written without ``seal``."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 class TestByteCursor:
-    def _cursor(self, tmp_path, blob):
+    def _cursor(self, tmp_path, blob, magic=b"MAG"):
         path = tmp_path / "x.bin"
         path.write_bytes(blob)
-        return ByteCursor(path, b"MAG", "test file")
+        return ByteCursor(path, magic, "test file", "write it again")
 
     def test_reads_in_order_without_copying(self, tmp_path):
-        cursor = self._cursor(tmp_path, b"MAG\x01\x00\x00\x00abc")
+        cursor = self._cursor(tmp_path, _sealed(b"MAG\x01\x00\x00\x00abc"))
         assert cursor.unpack("<I") == (1,)
         piece = cursor.take(3)
         assert isinstance(piece, memoryview) and bytes(piece) == b"abc"
@@ -54,15 +61,62 @@ class TestByteCursor:
             self._cursor(tmp_path, blob)
 
     def test_read_past_the_end_names_the_file(self, tmp_path):
-        cursor = self._cursor(tmp_path, b"MAGab")
+        # two body bytes and the four checksum bytes are left
+        cursor = self._cursor(tmp_path, _sealed(b"MAGab"))
         with pytest.raises(FileFormatError, match=r"x\.bin: truncated test file at byte 3"):
-            cursor.take(3)
+            cursor.take(7)
 
     def test_trailing_bytes_name_the_file(self, tmp_path):
-        cursor = self._cursor(tmp_path, b"MAGab")
-        cursor.take(1)
+        cursor = self._cursor(tmp_path, _sealed(b"MAGab") + b"!")
+        cursor.take(2)
         with pytest.raises(FileFormatError, match=r"x\.bin: 1 trailing bytes"):
             cursor.finish()
+
+    def test_seal_appends_the_crc_of_the_joined_parts(self):
+        assert seal([b"MAG", b"", memoryview(b"ab")]) == _sealed(b"MAGab")
+
+    def test_checksum_mismatch_names_the_file_and_byte(self, tmp_path):
+        blob = bytearray(_sealed(b"MAGab"))
+        blob[3] ^= 0x10
+        cursor = self._cursor(tmp_path, bytes(blob))
+        cursor.take(2)
+        with pytest.raises(FileFormatError,
+                           match=r"x\.bin: checksum at byte 5 does not match the test file"):
+            cursor.finish()
+
+    def test_missing_checksum_is_a_truncation(self, tmp_path):
+        cursor = self._cursor(tmp_path, b"MAGab")
+        cursor.take(2)
+        with pytest.raises(FileFormatError, match=r"x\.bin: truncated test file at byte 5"):
+            cursor.finish()
+
+    @pytest.mark.parametrize("version", [b"0", b"1", b"2"])
+    def test_older_version_names_it_and_the_remedy(self, tmp_path, version):
+        with pytest.raises(FileFormatError, match=rf"x\.bin: test file version "
+                                                  rf"{version.decode()} is no longer read; "
+                                                  rf"write it again"):
+            self._cursor(tmp_path, _sealed(b"TESTFIL" + version), magic=b"TESTFIL3")
+
+    @pytest.mark.parametrize("head", [b"TESTFIL4", b"TESTFIL9", b"TESTFILa", b"TESTFIM1",
+                                      b"TESTFIL"])
+    def test_newer_or_foreign_version_is_a_bad_magic(self, tmp_path, head):
+        with pytest.raises(FileFormatError, match=r"x\.bin: not a test file \(bad magic\)"):
+            self._cursor(tmp_path, head + bytes(4), magic=b"TESTFIL3")
+
+    def test_array_is_a_writeable_copy(self, tmp_path):
+        values = np.arange(6.0)
+        cursor = self._cursor(tmp_path, _sealed(b"MAG" + values.astype("<f8").tobytes()))
+        got = cursor.array((np.uint32(2), np.int64(3)), "<f8")
+        assert got.shape == (2, 3) and got.flags.writeable and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, values.reshape(2, 3))
+        got[0, 0] = 7.0
+        cursor.finish()
+
+    def test_array_byte_count_cannot_wrap(self, tmp_path):
+        # 2**61 * 4 items of 8 bytes is 2**66 bytes: 0 in int64, a truncation here
+        cursor = self._cursor(tmp_path, _sealed(b"MAG"))
+        with pytest.raises(FileFormatError, match=r"x\.bin: truncated test file at byte 3"):
+            cursor.array(np.array([2 ** 61, 4], dtype=np.int64), "<f8")
 
 
 class TestJsonFields:
@@ -206,18 +260,19 @@ class TestMutations:
                          _holds_proposals)
 
     def test_checkpoint(self, tmp_path):
+        # a v2 checkpoint is sealed like a feature file, so no mutation may
+        # load: every one raises FileFormatError naming the file
         rng = np.random.default_rng(18)
         save_checkpoint(tmp_path / "model.tapg", {
             "trunk.weight": rng.standard_normal((3, 2, 2)),
             "trunk.bias": rng.standard_normal(3),
             "scale": np.array(0.5),
         })
-
-        def resaved(path):
-            save_checkpoint(tmp_path / "resaved.tapg", load_checkpoint(path))
-            return (tmp_path / "resaved.tapg").read_bytes()
-
-        _mutate_binary(rng, tmp_path / "model.tapg", resaved)
+        mutated = tmp_path / "mutated.tapg"
+        for blob in _mutations(rng, (tmp_path / "model.tapg").read_bytes()):
+            mutated.write_bytes(blob)
+            with pytest.raises(FileFormatError, match=r"mutated\.tapg"):
+                load_checkpoint(mutated)
 
     def test_features(self, tmp_path):
         # a v2 feature file ends in a CRC of every byte before it, so no
@@ -306,13 +361,3 @@ def _mutations(rng, original):
         if blob != original:
             yield bytes(blob)
 
-
-def _mutate_binary(rng, path, resaved):
-    """Byte-level mutations; an accepted file must save back to the same bytes."""
-    mutated = path.with_name("mutated" + path.suffix)
-    for blob in _mutations(rng, path.read_bytes()):
-        mutated.write_bytes(blob)
-        try:
-            assert resaved(mutated) == blob
-        except TapgkitError:
-            pass

@@ -187,6 +187,49 @@ class TestPairing:
         assert generate_proposals(out, 16, 8.0, SoftSuppressionConfig(sigma=0.4)) == []
 
 
+class TestDecodeChecks:
+    """Decoding refuses a time axis it cannot map, and a head that diverged."""
+
+    @pytest.mark.parametrize("stride, fps", [
+        (16, 0.0),          # ZeroDivisionError
+        (16, 1e-320),       # stride / fps overflows to inf
+        (16, -8.0), (16, math.inf), (16, math.nan),
+        (-1, 8.0),          # negative intervals
+        (0, 8.0),           # zero-length intervals
+        (2.5, 8.0), (16.0, 8.0), (True, 8.0), (np.float64(16.0), 8.0),
+    ])
+    def test_time_axis_it_cannot_map_is_refused(self, stride, fps):
+        out = _toy_output(seed=7)
+        for cfg in (suppression_preset("anet-tapg-snms"), HardSuppressionConfig(0.5)):
+            with pytest.raises(DegenerateInputError, match="snippet_stride"):
+                generate_proposals(out, stride, fps, cfg)
+
+    @pytest.mark.parametrize("stride, fps", [(1, 1e300), (np.int64(16), np.float64(8.0)),
+                                             (np.uint32(4), 25)])
+    def test_any_mappable_time_axis_decodes(self, stride, fps):
+        out = _toy_output(seed=7)
+        got = generate_proposals(out, stride, fps, suppression_preset("anet-tapg-snms"))
+        assert got and all(0.0 <= p.start < p.end for p in got)
+
+    @pytest.mark.parametrize("field", ["start", "end", "actionness"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probabilities_are_refused(self, field, bad):
+        out = _toy_output(seed=8)
+        values = getattr(out, field).data.copy()
+        values[:] = bad
+        out = dataclasses.replace(out, **{field: T.constant(values)})
+        with pytest.raises(DegenerateInputError, match="finite start, end and grid"):
+            pair_candidates(out)
+        with pytest.raises(DegenerateInputError, match="finite start, end and grid"):
+            generate_proposals(out, 16, 8.0, suppression_preset("anet-tapg-snms"))
+
+    def test_one_non_finite_cell_is_refused(self):
+        out = _toy_output(seed=8)
+        out.actionness.data[3] = math.nan
+        with pytest.raises(DegenerateInputError, match="finite start, end and grid"):
+            pair_candidates(out)
+
+
 def _decoded_candidates(seed):
     """Every candidate pair of a random toy output: a few hundred rows."""
     rows = pair_candidates(_toy_output(seed, num_snippets=48, max_duration=48))

@@ -49,6 +49,20 @@ class TestModuleTree:
         with pytest.raises(ShapeError):
             wrong.load_state_dict(src.state_dict())
 
+    def test_state_with_only_missing_keys_rejected(self):
+        model = MLP(np.random.default_rng(3), [3, 4, 2])
+        state = model.state_dict()
+        del state["layers.1.bias"]
+        with pytest.raises(ShapeError, match=r"missing \['layers\.1\.bias'\], unexpected \[\]"):
+            model.load_state_dict(state)
+
+    def test_state_with_only_extra_keys_rejected(self):
+        model = MLP(np.random.default_rng(3), [3, 4, 2])
+        state = model.state_dict()
+        state["layers.2.weight"] = np.ones((2, 2))
+        with pytest.raises(ShapeError, match=r"missing \[\], unexpected \['layers\.2\.weight'\]"):
+            model.load_state_dict(state)
+
     def test_zero_grad_resets_accumulators(self):
         rng = np.random.default_rng(4)
         layer = Linear(rng, 3, 2)
@@ -72,6 +86,26 @@ class TestInit:
     def test_mlp_needs_two_widths(self):
         with pytest.raises(ShapeError):
             MLP(np.random.default_rng(0), [4])
+
+
+class TestMLP:
+    @pytest.mark.parametrize("widths", [[3, 4], [3, 5, 2], [3, 5, 4, 2]])
+    def test_forward_matches_a_numpy_oracle(self, widths):
+        # a ReLU between layers and none after the last
+        rng = np.random.default_rng(len(widths))
+        with T.default_dtype(np.float64):
+            mlp = MLP(rng, widths)
+            for layer in mlp.layers:
+                layer.bias.data = rng.standard_normal(layer.bias.data.shape)
+            x = rng.standard_normal((16, widths[0]))
+            got = mlp(Tensor(x)).data
+        want = x
+        for i, layer in enumerate(mlp.layers):
+            want = want @ layer.weight.data + layer.bias.data
+            assert (want < 0).any()     # so a ReLU here would change the output
+            if i < len(mlp.layers) - 1:
+                want = np.maximum(want, 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestSelfAttentionEncoder:

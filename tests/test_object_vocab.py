@@ -62,6 +62,16 @@ class TestCosine:
         with pytest.raises(DegenerateInputError):
             EmbeddedVocabulary(["a", "b", "c"], vectors)
 
+    def test_zero_norm_entry_is_named(self):
+        vectors = np.ones((3, 4))
+        vectors[1] = 0.0
+        with pytest.raises(DegenerateInputError, match=r"zero-norm vocabulary vectors: \['b'\]$"):
+            EmbeddedVocabulary(["a", "b", "c"], vectors)
+
+    def test_name_count_must_match_the_vectors(self):
+        with pytest.raises(ShapeError, match="^2 names for 3 vectors$"):
+            EmbeddedVocabulary(["a", "b"], np.ones((3, 4)))
+
 
 class TestTopK:
     """Ranking: best first, ties to the lower index, at most the whole vocabulary."""

@@ -50,6 +50,8 @@ TESTS = {
     "src/tapgkit/model.py": ("tests/test_model.py", "tests/test_representation.py"),
     "src/tapgkit/autodiff/checkpoint.py": ("tests/test_checkpoint.py", "tests/test_files.py"),
     "src/tapgkit/autodiff/optim.py": ("tests/test_optim.py",),
+    "src/tapgkit/autodiff/layers.py": ("tests/test_layers.py",),
+    "src/tapgkit/object_vocab.py": ("tests/test_object_vocab.py",),
     "src/tapgkit/errors.py": ("tests/test_boundaries.py",),
 }
 
